@@ -10,24 +10,24 @@ namespace kvmarm::host {
 
 Mm::Mm(PhysMem &ram, check::InvariantEngine *check_engine)
     : ram_(ram),
-      checkEngine_(check_engine ? check_engine : check::processEngine())
+      checkEngine_(check_engine ? check_engine : check::processEngine()),
+      fresh_(ram.base() + ram.size() / kPageSize * kPageSize)
 {
-    // Build the free list high-to-low so early allocations (kernel page
-    // tables) come from the top of RAM, away from guest RAM bases.
-    Addr base = ram.base();
-    Addr npages = ram.size() / kPageSize;
-    freeList_.reserve(npages);
-    for (Addr i = 0; i < npages; ++i)
-        freeList_.push_back(base + i * kPageSize);
 }
 
 Addr
 Mm::allocPage()
 {
-    if (freeList_.empty())
+    Addr pa;
+    if (!recycled_.empty()) {
+        pa = recycled_.back();
+        recycled_.pop_back();
+    } else if (fresh_ > ram_.base()) {
+        fresh_ -= kPageSize;
+        pa = fresh_;
+    } else {
         fatal("host::Mm: out of memory (%zu pages in use)", usedPages());
-    Addr pa = freeList_.back();
-    freeList_.pop_back();
+    }
     ram_.zeroPage(pa);
     refcounts_[pa] = 1;
     return pa;
@@ -51,7 +51,7 @@ Mm::putPage(Addr pa)
         panic("host::Mm::putPage on free page %#llx", static_cast<unsigned long long>(pa));
     if (--it->second == 0) {
         refcounts_.erase(it);
-        freeList_.push_back(pa);
+        recycled_.push_back(pa);
     }
 }
 
@@ -71,8 +71,9 @@ Mm::getUserPages()
 void
 Mm::saveState(SnapshotWriter &w)
 {
-    w.u64(freeList_.size());
-    for (Addr pa : freeList_)
+    w.u64(fresh_);
+    w.u64(recycled_.size());
+    for (Addr pa : recycled_)
         w.u64(pa);
     std::vector<std::pair<Addr, unsigned>> rcs;
     rcs.reserve(refcounts_.size());
@@ -90,11 +91,10 @@ Mm::saveState(SnapshotWriter &w)
 void
 Mm::restoreState(SnapshotReader &r)
 {
-    freeList_.clear();
-    std::uint64_t nfree = r.u64();
-    freeList_.reserve(nfree);
-    for (std::uint64_t i = 0; i < nfree; ++i)
-        freeList_.push_back(r.u64());
+    fresh_ = r.u64();
+    recycled_.resize(r.u64());
+    for (Addr &pa : recycled_)
+        pa = r.u64();
     refcounts_.clear();
     std::uint64_t nrc = r.u64();
     for (std::uint64_t i = 0; i < nrc; ++i) {

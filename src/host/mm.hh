@@ -54,7 +54,11 @@ class Mm : public Snapshottable
     /** Refcount of @p pa, 0 if free. */
     unsigned refcount(Addr pa) const;
 
-    std::size_t freePages() const { return freeList_.size(); }
+    /** Never-used pages below the watermark plus recycled pages. */
+    std::size_t freePages() const
+    {
+        return (fresh_ - ram_.base()) / kPageSize + recycled_.size();
+    }
     std::size_t usedPages() const { return refcounts_.size(); }
 
     /**
@@ -73,9 +77,10 @@ class Mm : public Snapshottable
 
     /// @name Snapshottable (HostKernel registers/unregisters this)
     ///
-    /// The free list is serialized *verbatim*: its order decides every
-    /// future allocPage() address, so restoring it exactly is what makes
-    /// a clone's post-restore allocations bit-identical to the origin's.
+    /// The free pages are the fresh watermark plus the recycled stack,
+    /// both serialized exactly: together they decide every future
+    /// allocPage() address, so restoring them is what makes a clone's
+    /// post-restore allocations bit-identical to the origin's.
     /// @{
     std::string snapshotKey() const override { return "mm"; }
     void saveState(SnapshotWriter &w) override;
@@ -85,7 +90,12 @@ class Mm : public Snapshottable
   private:
     PhysMem &ram_;
     check::InvariantEngine *checkEngine_;
-    std::vector<Addr> freeList_;
+    /** Pages in [ram.base(), fresh_) have never been allocated; they are
+     *  handed out from the top down so early allocations (kernel page
+     *  tables) sit away from guest RAM bases. */
+    Addr fresh_;
+    /** Freed pages, reused LIFO before any fresh page. */
+    std::vector<Addr> recycled_;
     std::unordered_map<Addr, unsigned> refcounts_;
 };
 

@@ -1,23 +1,24 @@
 /**
  * @file
- * Cooperative fibers (ucontext-based), one per simulated CPU.
+ * Cooperative fibers, one per simulated CPU.
  *
  * Simulated software — guest kernels, the hypervisor, the host kernel — runs
  * as ordinary synchronous C++ on a fiber. The machine scheduler resumes the
  * runnable CPU with the smallest cycle clock, so multicore interactions
  * (IPIs, spinning on shared memory, WFI wakeups) interleave deterministically
  * without threads.
+ *
+ * A switch is a register-only stack swap (fiber.cc): it saves the
+ * callee-saved registers, MXCSR and the x87 control word, and never enters
+ * the kernel. The signal mask is not part of a fiber's context.
  */
 
 #ifndef KVMARM_SIM_FIBER_HH
 #define KVMARM_SIM_FIBER_HH
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace kvmarm {
 
@@ -29,7 +30,7 @@ class Fiber
      * @param fn Entry function; the fiber is finished when it returns.
      * @param stack_size Stack bytes; simulated software nests deeply
      *        (guest op -> trap -> world switch -> host -> QEMU), so the
-     *        default is generous.
+     *        default is generous. The stack is not zero-filled.
      */
     explicit Fiber(std::function<void()> fn,
                    std::size_t stack_size = 1024 * 1024);
@@ -54,19 +55,27 @@ class Fiber
   private:
     static void trampoline();
 
+    /** Switch from the fiber back to its resumer. */
+    void switchOut();
+
     std::function<void()> fn_;
-    std::vector<unsigned char> stack_;
-    ucontext_t ctx_;
-    ucontext_t returnCtx_;
+    std::unique_ptr<unsigned char[]> stack_;
+    std::size_t stackSize_;
+    /** Saved stack pointers: the fiber's while it is suspended, the
+     *  resumer's while the fiber runs. */
+    void *sp_ = nullptr;
+    void *returnSp_ = nullptr;
     bool started_ = false;
     bool finished_ = false;
 
-    /** ThreadSanitizer fiber contexts (always present so the layout does
-     *  not depend on the sanitizer config; only touched under TSan).
-     *  TSan cannot follow raw swapcontext stack switches, so fiber.cc
-     *  tells it about every switch via the __tsan_*_fiber interface. */
+    /** Sanitizer fiber state (always present so the layout does not depend
+     *  on the sanitizer config; only touched under TSan/ASan). Neither
+     *  sanitizer can follow a hand-written stack switch, so fiber.cc
+     *  announces every switch through their fiber interfaces. */
     void *tsanFiber_ = nullptr;
     void *tsanReturn_ = nullptr;
+    const void *asanReturnBottom_ = nullptr;
+    std::size_t asanReturnSize_ = 0;
 };
 
 } // namespace kvmarm

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "sim/fiber.hh"
 
 namespace kvmarm {
@@ -84,6 +89,109 @@ TEST(Fiber, DeepStackSurvives)
     Fiber f([&] { result = recurse(400); });
     f.resume();
     EXPECT_EQ(result, 400);
+}
+
+/** Holds five values in the callee-saved registers rbx and r12-r15
+ *  across @p call and returns a digest of them. The empty asm statements
+ *  pin each value to its register on both sides of the call, so a switch
+ *  that fails to restore one of them shows up as a wrong digest. */
+[[gnu::noinline]] std::uint64_t
+holdAcross(std::uint64_t seed, const std::function<void()> &call)
+{
+    register std::uint64_t b asm("rbx") = seed * 0x9E3779B97F4A7C15ull;
+    register std::uint64_t c asm("r12") = b ^ (b >> 29);
+    register std::uint64_t d asm("r13") = c * 0xBF58476D1CE4E5B9ull;
+    register std::uint64_t e asm("r14") = d ^ (d >> 31);
+    register std::uint64_t f asm("r15") = e * 0x94D049BB133111EBull;
+    asm volatile("" : "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(f));
+    if (call)
+        call();
+    asm volatile("" : "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(f));
+    return b + 3 * c + 5 * d + 7 * e + 11 * f;
+}
+
+TEST(Fiber, CalleeSavedRegistersSurviveYield)
+{
+    // Both contexts hold different values in the same registers while
+    // the other one runs.
+    std::uint64_t in_fiber = 0;
+    Fiber f([&] { in_fiber = holdAcross(1, [] { Fiber::yield(); }); });
+    std::uint64_t first = holdAcross(2, [&] { f.resume(); });
+    std::uint64_t second = holdAcross(3, [&] { f.resume(); });
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(in_fiber, holdAcross(1, nullptr));
+    EXPECT_EQ(first, holdAcross(2, nullptr));
+    EXPECT_EQ(second, holdAcross(3, nullptr));
+}
+
+/** 1/3 at run time, in the current SSE rounding mode. */
+[[gnu::noinline]] double
+oneThird()
+{
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return one / three;
+}
+
+TEST(Fiber, RoundingModeIsPerContext)
+{
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    const double nearest = oneThird();
+    int fiber_mode = -1;
+    double fiber_third = 0;
+    Fiber f([&] {
+        std::fesetround(FE_UPWARD);
+        Fiber::yield();
+        fiber_mode = std::fegetround();
+        fiber_third = oneThird();
+    });
+    f.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(oneThird(), nearest);
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(fiber_mode, FE_UPWARD);
+    EXPECT_GT(fiber_third, nearest); // MXCSR, not only the x87 word
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(Fiber, EntryStackIsSixteenByteAligned)
+{
+    std::uintptr_t addr = 1;
+    Fiber f([&] {
+        alignas(16) volatile unsigned char local[16];
+        local[0] = 1;
+        addr = reinterpret_cast<std::uintptr_t>(&local[0]);
+    });
+    f.resume();
+    EXPECT_EQ(addr % 16, 0u);
+}
+
+TEST(Fiber, ExceptionCaughtInsideFiberAcrossYield)
+{
+    std::string caught;
+    Fiber f([&] {
+        try {
+            Fiber::yield();
+            throw std::runtime_error("inside the fiber");
+        } catch (const std::runtime_error &e) {
+            Fiber::yield(); // suspended while the exception is handled
+            caught = e.what();
+        }
+    });
+    f.resume();
+    f.resume();
+    // The resumer throws and catches its own exception meanwhile.
+    std::string outside;
+    try {
+        throw std::logic_error("outside");
+    } catch (const std::logic_error &e) {
+        outside = e.what();
+    }
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(caught, "inside the fiber");
+    EXPECT_EQ(outside, "outside");
 }
 
 } // namespace

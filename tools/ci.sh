@@ -48,17 +48,18 @@ leg_asan() {
 leg_tsan() {
     # The fleet executor is the one place host threads run concurrently;
     # TSan must see zero races across the worker pool, the mutexed logging
-    # writer, the invariant engine, and the annotated fiber switches.
+    # writer, the invariant engine, and the annotated fiber switches (the
+    # Fiber unit tests exercise those switches directly).
     # ctest selects by the sanitize-thread label tests/CMakeLists derives
     # from KVMARM_SANITIZE.
     cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DKVMARM_SANITIZE=thread
     cmake --build build-ci-tsan -j"$JOBS" \
         --target fleet_tput fleet_clone fleet_ring fleet_pool \
-        fleet_test fleet_stress_test
+        fleet_test fleet_stress_test sim_test
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-ci-tsan --output-on-failure \
-        -L sanitize-thread -R '^Fleet'
+        -L sanitize-thread -R '^(Fleet|Fiber)'
     # The seeded stress schedule under TSan: live submissions, mid-run
     # spawns, ring rendezvous and park/notify all race-checked at up to
     # 8 workers (the suite sweeps 1/2/4/8 internally).
