@@ -5,6 +5,8 @@
  * routing (IMO), and the boot-in-Hyp requirement.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "arm/machine.hh"
@@ -130,12 +132,29 @@ TEST_F(CpuTrapTest, FpTrapsOnlyWhenLazy)
     });
 }
 
+/**
+ * GoogleTest prints a parameter that has no PrintTo as its raw bytes, and
+ * CTest names each case after that print-out. The padding is therefore
+ * spelled out as zeroed members: with implicit padding the names carried
+ * stack garbage and changed on every run.
+ */
 struct SensitiveCase
 {
+    SensitiveCase(SensitiveOp o, bool Hcr::*bit, ExcClass e)
+        : op(o), hcrBit(bit), expected(e)
+    {
+    }
+
     SensitiveOp op;
+    std::uint8_t pad0[7]{};
     bool Hcr::*hcrBit; //!< null -> HDCR (cp14)
     ExcClass expected;
+    std::uint8_t pad1[7]{};
 };
+static_assert(sizeof(SensitiveCase) == sizeof(SensitiveOp) + 7 +
+                                           sizeof(bool Hcr::*) +
+                                           sizeof(ExcClass) + 7,
+              "SensitiveCase must have no implicit padding");
 
 class SensitiveOpTest : public CpuTrapTest,
                         public ::testing::WithParamInterface<SensitiveCase>
