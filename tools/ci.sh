@@ -8,7 +8,6 @@
 #   tsan       ThreadSanitizer, fleet executor tests + fleet smoke bench
 #   enforce    release binaries, whole suite under KVMARM_CHECK=enforce
 #   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away)
-#   bench      host_tput/fleet_tput --smoke + table3_micro vs the golden
 #   domlint    full-tree domlint + the fixture corpus (must-fire/must-pass)
 #   lint       domlint + clang-tidy (or strict-GCC fallback) on changed files
 #   threadsafety  clang -Wthread-safety on the annotated locking TUs
@@ -102,25 +101,6 @@ leg_nochecks() {
     run_suite build-ci-nochecks
 }
 
-leg_bench() {
-    # Wall-clock fast paths must not disturb simulated cycle attribution:
-    # smoke-run the throughput bench, then re-run the Table 3 bench and
-    # require its cycle table to match the committed golden output exactly.
-    cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build build-ci-release -j"$JOBS" \
-        --target host_tput fleet_tput fleet_clone fleet_ring fleet_pool \
-        table3_micro
-    build-ci-release/bench/host_tput --smoke
-    build-ci-release/bench/fleet_tput --smoke
-    build-ci-release/bench/fleet_clone --smoke
-    build-ci-release/bench/fleet_ring --smoke
-    build-ci-release/bench/fleet_pool --smoke
-    build-ci-release/bench/table3_micro 2>/dev/null | sed -n '/===/,$p' \
-        > build-ci-release/table3_micro.out
-    diff -u bench/golden/table3_micro.txt build-ci-release/table3_micro.out
-    echo "table3_micro matches golden cycle counts"
-}
-
 leg_domlint() {
     # The domain-aware pass must be clean over the whole tree (every
     # finding fixed or carrying a justified suppression), and the fixture
@@ -171,7 +151,7 @@ leg_format() {
     tools/format.sh --check
 }
 
-legs=${*:-release asan tsan enforce nochecks bench domlint lint threadsafety format}
+legs=${*:-release asan tsan enforce nochecks domlint lint threadsafety format}
 for leg in $legs; do
     echo "==== ci leg: $leg ===="
     "leg_$leg"
