@@ -259,21 +259,22 @@ runFleetSweep(const Sizes &sz, unsigned vms, unsigned threads, bool clone,
     Fleet fleet(threads);
     for (unsigned i = 0; i < vms; ++i) {
         res.iterations += workloadOps(sz, i);
-        fleet.add(res.name + "-vm" + std::to_string(i),
-                  [&sz, &res, snap, clone, i] {
-                      auto t0 = Clock::now();
-                      CloneVm vm(sz);
-                      if (clone)
-                          vm.cloneFrom(*snap);
-                      else
-                          vm.coldBoot();
-                      res.vms[i].spinupSeconds = seconds(t0, Clock::now());
-                      vm.runWorkload(i, res.vms[i]);
-                  });
+        fleet.submit(res.name + "-vm" + std::to_string(i),
+                     [&sz, &res, snap, clone, i] {
+                         auto t0 = Clock::now();
+                         CloneVm vm(sz);
+                         if (clone)
+                             vm.cloneFrom(*snap);
+                         else
+                             vm.coldBoot();
+                         res.vms[i].spinupSeconds = seconds(t0, Clock::now());
+                         vm.runWorkload(i, res.vms[i]);
+                     });
     }
 
     auto t0 = Clock::now();
-    std::vector<Fleet::JobResult> jobs = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> jobs = fleet.shutdown();
     res.wallSeconds = seconds(t0, Clock::now());
 
     for (const Fleet::JobResult &j : jobs) {

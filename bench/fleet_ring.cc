@@ -259,13 +259,14 @@ runFleetPoint(const BenchConfig &cfg, unsigned threads,
 
     for (std::size_t i = 0; i < vms.size(); ++i) {
         RingVm *vm = vms[i].get();
-        std::size_t idx = fleet.addResumable(
+        std::size_t idx = fleet.submitResumable(
             "vm" + std::to_string(i), [vm] { return vm->step(); });
         vm->pacer().setWakeHook([&fleet, idx] { fleet.notify(idx); });
     }
 
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<Fleet::JobResult> jobs = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> jobs = fleet.shutdown();
     auto t1 = std::chrono::steady_clock::now();
     for (const Fleet::JobResult &j : jobs) {
         if (!j.ok)

@@ -227,13 +227,14 @@ runFleet(const std::vector<VmSpec> &spec, unsigned threads,
     for (std::size_t i = 0; i < spec.size(); ++i) {
         const VmSpec &s = spec[i];
         res.iterations += s.iters;
-        fleet.add(std::string("vm") + std::to_string(s.index) + "-" +
-                      flavorName(s.flavor),
-                  [&s, &outcomes, i] { runVm(s, outcomes[i]); });
+        fleet.submit(std::string("vm") + std::to_string(s.index) + "-" +
+                         flavorName(s.flavor),
+                     [&s, &outcomes, i] { runVm(s, outcomes[i]); });
     }
 
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<Fleet::JobResult> jobs = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> jobs = fleet.shutdown();
     auto t1 = std::chrono::steady_clock::now();
 
     for (const Fleet::JobResult &j : jobs) {

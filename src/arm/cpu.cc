@@ -347,51 +347,6 @@ ArmCpu::readCntvct()
     return armMachine_.timer().virtCount(id_);
 }
 
-TimerRegs
-ArmCpu::readPhysTimer()
-{
-    addCycles(armMachine_.cost().ctrlRegAccess * 2); // CTL + CVAL
-    if (privilegeLevel(mode_) <= 1 && !hyp_.pl1PhysTimerAccess) {
-        Hsr hsr;
-        hsr.ec = ExcClass::TimerTrap;
-        hsr.iss = static_cast<std::uint32_t>(TimerAccess::PhysTimer);
-        trapToHyp(hsr);
-        return TimerRegs{};
-    }
-    return armMachine_.timer().phys(id_);
-}
-
-void
-ArmCpu::writePhysTimer(const TimerRegs &regs)
-{
-    addCycles(armMachine_.cost().ctrlRegAccess * 2);
-    if (privilegeLevel(mode_) <= 1 && !hyp_.pl1PhysTimerAccess) {
-        Hsr hsr;
-        hsr.ec = ExcClass::TimerTrap;
-        hsr.iss = static_cast<std::uint32_t>(TimerAccess::PhysTimer);
-        hsr.sysWrite = true;
-        hsr.sysValue = (regs.enable ? 1u : 0) | (regs.imask ? 2u : 0);
-        hsr.sysValue64 = regs.cval;
-        trapToHyp(hsr);
-        return;
-    }
-    armMachine_.timer().setPhys(id_, regs);
-}
-
-TimerRegs
-ArmCpu::readVirtTimer()
-{
-    addCycles(armMachine_.cost().ctrlRegAccess * 2);
-    if (!armMachine_.config().hwVtimers && hyp_.hcr.vm) {
-        Hsr hsr;
-        hsr.ec = ExcClass::TimerTrap;
-        hsr.iss = static_cast<std::uint32_t>(TimerAccess::VirtTimer);
-        trapToHyp(hsr);
-        return TimerRegs{};
-    }
-    return armMachine_.timer().virt(id_);
-}
-
 void
 ArmCpu::writeVirtTimer(const TimerRegs &regs)
 {

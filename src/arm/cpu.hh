@@ -135,9 +135,6 @@ class ArmCpu : public CpuBase
      *  has virtual timer support. */
     std::uint64_t readCntvct();
 
-    TimerRegs readPhysTimer();
-    void writePhysTimer(const TimerRegs &regs);
-    TimerRegs readVirtTimer();
     void writeVirtTimer(const TimerRegs &regs);
 
     /** Program CNTVOFF; Hyp mode only. */

@@ -56,7 +56,6 @@ enum class TimerAccess : std::uint8_t
 {
     ReadCntpct,
     ReadCntvct,
-    PhysTimer,
     VirtTimer,
 };
 

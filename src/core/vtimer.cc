@@ -181,8 +181,7 @@ VTimerEmul::emulateTrappedAccess(ArmCpu &cpu, VCpu &vcpu, TimerAccess which,
             cpu.setTrappedReadValue(
                 kvm_.machine().timer().physCount(cpu.id()) - vcpu.cntvoff);
             return;
-          case TimerAccess::VirtTimer:
-          case TimerAccess::PhysTimer: {
+          case TimerAccess::VirtTimer: {
             if (!is_write) {
                 cpu.setTrappedReadValue(
                     (vcpu.vtimerShadow.enable ? 1u : 0) |

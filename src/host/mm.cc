@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <utility>
 
-#include "check/invariants.hh"
 #include "sim/logging.hh"
 
 namespace kvmarm::host {
 
 Mm::Mm(PhysMem &ram, check::InvariantEngine *check_engine)
     : ram_(ram),
-      checkEngine_(check_engine ? check_engine : check::processEngine()),
+      checkEngine_(check_engine),
       fresh_(ram.base() + ram.size() / kPageSize * kPageSize)
 {
 }

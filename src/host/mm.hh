@@ -31,15 +31,14 @@ class Mm : public Snapshottable
     /**
      * @param check_engine the invariant engine the memory-management
      *     clients of this allocator (Stage-2, Hyp page tables) report to.
-     *     HostKernel passes its machine's private engine; a null engine
-     *     falls back to the process facade, so standalone Mm instances in
-     *     unit tests keep reporting somewhere visible.
+     *     HostKernel passes its machine's private engine; with a null
+     *     engine (a standalone Mm) those clients go unchecked.
      */
     explicit Mm(PhysMem &ram,
                 check::InvariantEngine *check_engine = nullptr);
 
-    /** The invariant engine Stage-2/Hyp page-table code reports to.
-     *  Never null when invariants are compiled in. */
+    /** The invariant engine Stage-2/Hyp page-table code reports to, or
+     *  null. */
     check::InvariantEngine *checkEngine() const { return checkEngine_; }
 
     /** Allocate one zeroed page (refcount 1). Fatal when out of memory. */

@@ -59,33 +59,6 @@ Fleet::~Fleet()
 }
 
 std::size_t
-Fleet::add(std::string name, JobFn fn)
-{
-    if (!fn)
-        fatal("Fleet::add: job '%s' has no body", name.c_str());
-    return addResumable(std::move(name),
-                        [f = std::move(fn)]() -> StepOutcome {
-                            f();
-                            return StepOutcome::Done;
-                        });
-}
-
-std::size_t
-Fleet::addResumable(std::string name, StepFn fn)
-{
-    if (workersLive_.load(std::memory_order_acquire)) {
-        fatal("Fleet::add: job '%s' submitted while run() is in progress — "
-              "queue all jobs before run(), or submit() through the live "
-              "channel",
-              name.c_str());
-    }
-    if (!fn)
-        fatal("Fleet::add: job '%s' has no body", name.c_str());
-    CondLock lock(schedMutex_);
-    return submitLocked(std::move(name), std::move(fn));
-}
-
-std::size_t
 Fleet::submit(std::string name, JobFn fn)
 {
     if (!fn)
@@ -146,7 +119,7 @@ Fleet::submitLocked(std::string name, StepFn fn)
         meta.seq = externalSeq_++;
         meta.id = fnvChain(kFnvOffset, meta.seq);
         meta.path = {meta.seq};
-        // Round-robin deal, matching the historical batch behavior.
+        // Round-robin deal by external submission order.
         home = static_cast<unsigned>(meta.seq % threads_);
     }
 
@@ -363,33 +336,16 @@ Fleet::workerMain(unsigned w)
 }
 
 void
-Fleet::startLocked()
-{
-    if (shutdown_)
-        fatal("Fleet::start: the pool was shut down — create a new Fleet");
-    if (workersLive_.load(std::memory_order_acquire))
-        fatal("Fleet::start: the worker pool is already live");
-    stopping_ = false;
-    draining_ = false;
-    idleWorkers_ = 0;
-    runningCount_ = 0;
-    for (auto &wp : workers_) {
-        wp->tid = std::thread::id{};
-        wp->currentSlot = kNoSlot;
-    }
-    workersLive_.store(true, std::memory_order_release);
-}
-
-void
 Fleet::start()
 {
     {
-        MutexLock lock(statsMutex_);
-        stats_ = Stats{};
-    }
-    {
         CondLock lock(schedMutex_);
-        startLocked();
+        if (shutdown_)
+            fatal("Fleet::start: the pool was shut down — create a new "
+                  "Fleet");
+        if (workersLive_.load(std::memory_order_acquire))
+            fatal("Fleet::start: the worker pool is already live");
+        workersLive_.store(true, std::memory_order_release);
     }
     pool_.reserve(threads_);
     for (unsigned w = 0; w < threads_; ++w)
@@ -488,30 +444,6 @@ Fleet::retireWorkers()
         t.join();
     pool_.clear();
     workersLive_.store(false, std::memory_order_release);
-    CondLock lock(schedMutex_);
-    stopping_ = false;
-    for (auto &wp : workers_) {
-        wp->tid = std::thread::id{};
-        wp->currentSlot = kNoSlot;
-    }
-}
-
-std::vector<Fleet::JobResult>
-Fleet::run()
-{
-    start();
-    auto results = drain();
-    retireWorkers();
-    // The batch contract: the queue is consumed, slot numbering and the
-    // external sequence restart, so add() + run() may be repeated with
-    // result indices starting at zero each time.
-    CondLock lock(schedMutex_);
-    state_.clear();
-    parked_.clear();
-    meta_.clear();
-    results_.clear();
-    externalSeq_ = 0;
-    return results;
 }
 
 } // namespace kvmarm

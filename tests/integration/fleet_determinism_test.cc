@@ -94,10 +94,11 @@ runFleet(unsigned threads)
     std::vector<VmRun> runs(kVms);
     Fleet fleet(threads);
     for (unsigned i = 0; i < kVms; ++i) {
-        fleet.add("vm" + std::to_string(i),
-                  [i, &runs] { runs[i] = runOneVm(i); });
+        fleet.submit("vm" + std::to_string(i),
+                     [i, &runs] { runs[i] = runOneVm(i); });
     }
-    for (const Fleet::JobResult &r : fleet.run())
+    fleet.start();
+    for (const Fleet::JobResult &r : fleet.shutdown())
         EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
     return runs;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fleet executor tests: job completion across thread counts, round-robin
- * dealing with job stealing, error capture, late-submission rejection,
- * fault-injection isolation, and queue reuse.
+ * dealing with job stealing, error capture, fault-injection isolation,
+ * park/notify, live submission and mid-run spawns.
  */
 
 #include <gtest/gtest.h>
@@ -31,9 +31,10 @@ TEST(Fleet, RunsEveryJobAndKeepsSubmissionOrder)
         Fleet fleet(threads);
         std::atomic<unsigned> ran{0};
         for (int i = 0; i < 12; ++i) {
-            fleet.add("job" + std::to_string(i), [&ran] { ++ran; });
+            fleet.submit("job" + std::to_string(i), [&ran] { ++ran; });
         }
-        std::vector<Fleet::JobResult> results = fleet.run();
+        fleet.start();
+        std::vector<Fleet::JobResult> results = fleet.shutdown();
         EXPECT_EQ(ran.load(), 12u);
         ASSERT_EQ(results.size(), 12u);
         for (int i = 0; i < 12; ++i) {
@@ -52,15 +53,16 @@ TEST(Fleet, StealsFromALoadedWorker)
     // which can only happen if worker 1 steals worker 0's remaining jobs.
     Fleet fleet(2);
     std::atomic<unsigned> others{0};
-    fleet.add("long", [&others] {
+    fleet.submit("long", [&others] {
         // Parking, not sleeping: deterministic on any host core count.
         while (others.load() < 7)
             std::this_thread::yield();
     });
     for (int i = 1; i < 8; ++i)
-        fleet.add("short" + std::to_string(i), [&others] { ++others; });
+        fleet.submit("short" + std::to_string(i), [&others] { ++others; });
 
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
     for (const Fleet::JobResult &r : results)
         EXPECT_TRUE(r.ok) << r.name;
     EXPECT_EQ(fleet.stats().jobsRun, 8u);
@@ -73,11 +75,12 @@ TEST(Fleet, StealsFromALoadedWorker)
 TEST(Fleet, CapturesJobExceptionsWithoutKillingTheFleet)
 {
     Fleet fleet(2);
-    fleet.add("ok0", [] {});
-    fleet.add("boom", [] { fatal("deliberate fleet-test failure"); });
-    fleet.add("ok1", [] {});
+    fleet.submit("ok0", [] {});
+    fleet.submit("boom", [] { fatal("deliberate fleet-test failure"); });
+    fleet.submit("ok1", [] {});
 
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
     EXPECT_TRUE(results[0].ok);
     EXPECT_FALSE(results[1].ok);
     EXPECT_NE(results[1].error.find("deliberate fleet-test failure"),
@@ -91,61 +94,17 @@ TEST(Fleet, ZeroThreadsMeansHardwareConcurrency)
     Fleet fleet(0);
     EXPECT_GE(fleet.threads(), 1u);
     bool ran = false;
-    fleet.add("probe", [&ran] { ran = true; });
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.submit("probe", [&ran] { ran = true; });
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
     EXPECT_TRUE(ran);
     EXPECT_TRUE(results[0].ok);
-}
-
-TEST(Fleet, QueueMayBeRefilledAndRerun)
-{
-    Fleet fleet(2);
-    int first = 0, second = 0;
-    fleet.add("a", [&first] { ++first; });
-    EXPECT_EQ(fleet.run().size(), 1u);
-    EXPECT_EQ(first, 1);
-    EXPECT_EQ(fleet.stats().jobsRun, 1u);
-
-    fleet.add("b", [&second] { ++second; });
-    fleet.add("c", [&second] { ++second; });
-    EXPECT_EQ(fleet.run().size(), 2u);
-    EXPECT_EQ(first, 1);
-    EXPECT_EQ(second, 2);
-    EXPECT_EQ(fleet.stats().jobsRun, 2u); // stats are per run()
-
-    EXPECT_TRUE(fleet.run().empty()); // drained queue: no-op
 }
 
 TEST(Fleet, RejectsEmptyJob)
 {
     Fleet fleet(1);
-    EXPECT_THROW(fleet.add("hollow", Fleet::JobFn{}), FatalError);
-}
-
-TEST(Fleet, AddDuringRunIsAHardError)
-{
-    // The round-robin deal happens before any worker starts, so a job
-    // submitted mid-run would be silently dropped; it must fail loudly
-    // instead. The misuse comes from a job body — the one place it can
-    // happen after run() begins.
-    Fleet fleet(2);
-    fleet.add("late-submitter", [&fleet] {
-        fleet.add("too-late", [] {});
-    });
-    fleet.add("innocent", [] {});
-
-    std::vector<Fleet::JobResult> results = fleet.run();
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_NE(results[0].error.find("while run() is in progress"),
-              std::string::npos)
-        << results[0].error;
-    EXPECT_TRUE(results[1].ok);
-
-    // The fleet survives the misuse: submission works again after run().
-    bool ran = false;
-    fleet.add("after", [&ran] { ran = true; });
-    EXPECT_TRUE(fleet.run()[0].ok);
-    EXPECT_TRUE(ran);
+    EXPECT_THROW(fleet.submit("hollow", Fleet::JobFn{}), FatalError);
 }
 
 /** Everything observable a full-stack VM job produced. */
@@ -210,10 +169,11 @@ TEST(Fleet, FaultInjectedJobLeavesSurvivorsBitIdentical)
     {
         Fleet fleet(4);
         for (unsigned i = 0; i < kVms; ++i) {
-            fleet.add("vm" + std::to_string(i),
-                      [i, &clean] { clean[i] = runFleetVm(i); });
+            fleet.submit("vm" + std::to_string(i),
+                         [i, &clean] { clean[i] = runFleetVm(i); });
         }
-        for (const Fleet::JobResult &r : fleet.run())
+        fleet.start();
+        for (const Fleet::JobResult &r : fleet.shutdown())
             ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
     }
 
@@ -221,11 +181,12 @@ TEST(Fleet, FaultInjectedJobLeavesSurvivorsBitIdentical)
     std::vector<VmOutcome> faulty(kVms);
     Fleet fleet(4);
     for (unsigned i = 0; i < kVms; ++i) {
-        fleet.add("vm" + std::to_string(i), [i, &faulty] {
+        fleet.submit("vm" + std::to_string(i), [i, &faulty] {
             faulty[i] = runFleetVm(i, /*fail=*/i == 2);
         });
     }
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
 
     EXPECT_FALSE(results[2].ok);
     EXPECT_NE(results[2].error.find("injected VM failure"),
@@ -248,10 +209,11 @@ TEST(Fleet, FaultInjectedJobLeavesSurvivorsBitIdentical)
 TEST(Fleet, WallTimeIsMeasuredPerJob)
 {
     Fleet fleet(1);
-    fleet.add("sleepy", [] {
+    fleet.submit("sleepy", [] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     });
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
     EXPECT_GE(results[0].wallSeconds, 0.015);
 }
 
@@ -262,20 +224,21 @@ TEST(Fleet, ResumableJobParksAndResumesOnNotify)
         Fleet fleet(threads);
         std::atomic<unsigned> waiterSteps{0};
         std::atomic<bool> started{false};
-        std::size_t waiter = fleet.addResumable("waiter", [&] {
+        std::size_t waiter = fleet.submitResumable("waiter", [&] {
             started = true;
             return ++waiterSteps == 1 ? Fleet::StepOutcome::Blocked
                                       : Fleet::StepOutcome::Done;
         });
         // A notify before the first step would target a Queued job (a
         // no-op); wait until the waiter has actually started stepping.
-        fleet.add("waker", [&] {
+        fleet.submit("waker", [&] {
             while (!started)
                 std::this_thread::yield();
             fleet.notify(waiter);
         });
 
-        std::vector<Fleet::JobResult> results = fleet.run();
+        fleet.start();
+        std::vector<Fleet::JobResult> results = fleet.shutdown();
         EXPECT_TRUE(results[0].ok) << results[0].error;
         EXPECT_TRUE(results[1].ok) << results[1].error;
         EXPECT_EQ(waiterSteps.load(), 2u);
@@ -294,7 +257,7 @@ TEST(Fleet, NotifyWhileRunningIsLatchedNotLost)
     std::atomic<bool> stepStarted{false};
     std::atomic<bool> notified{false};
     std::atomic<unsigned> steps{0};
-    std::size_t waiter = fleet.addResumable("waiter", [&] {
+    std::size_t waiter = fleet.submitResumable("waiter", [&] {
         if (++steps == 1) {
             stepStarted = true;
             // Hold the step open until the notify has already happened.
@@ -304,13 +267,14 @@ TEST(Fleet, NotifyWhileRunningIsLatchedNotLost)
         }
         return Fleet::StepOutcome::Done;
     });
-    fleet.add("waker", [&] {
+    fleet.submit("waker", [&] {
         while (!stepStarted)
             std::this_thread::yield();
         fleet.notify(waiter); // waiter is mid-step: must latch
         notified = true;
     });
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
     EXPECT_TRUE(results[0].ok) << results[0].error;
     EXPECT_EQ(steps.load(), 2u);
 }
@@ -322,10 +286,11 @@ TEST(Fleet, ParkedJobWithNoWakerIsAFleetDeadlock)
     for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
         Fleet fleet(threads);
-        fleet.addResumable("stuck",
-                           [] { return Fleet::StepOutcome::Blocked; });
-        fleet.add("bystander", [] {});
-        std::vector<Fleet::JobResult> results = fleet.run();
+        fleet.submitResumable("stuck",
+                              [] { return Fleet::StepOutcome::Blocked; });
+        fleet.submit("bystander", [] {});
+        fleet.start();
+        std::vector<Fleet::JobResult> results = fleet.shutdown();
         EXPECT_FALSE(results[0].ok);
         EXPECT_NE(results[0].error.find("fleet rendezvous deadlock"),
                   std::string::npos)
@@ -342,21 +307,22 @@ TEST(Fleet, SingleThreadAlternatesCommunicatingJobs)
     constexpr unsigned kRounds = 10;
     unsigned turnsA = 0, turnsB = 0; // single thread: no atomics needed
     std::size_t ia = 0, ib = 0;
-    ia = fleet.addResumable("a", [&] {
+    ia = fleet.submitResumable("a", [&] {
         ++turnsA;
         EXPECT_EQ(turnsA, turnsB + 1); // strict A,B,A,B alternation
         fleet.notify(ib);
         return turnsA < kRounds ? Fleet::StepOutcome::Blocked
                                 : Fleet::StepOutcome::Done;
     });
-    ib = fleet.addResumable("b", [&] {
+    ib = fleet.submitResumable("b", [&] {
         ++turnsB;
         EXPECT_EQ(turnsB, turnsA);
         fleet.notify(ia);
         return turnsB < kRounds ? Fleet::StepOutcome::Blocked
                                 : Fleet::StepOutcome::Done;
     });
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
     EXPECT_TRUE(results[0].ok) << results[0].error;
     EXPECT_TRUE(results[1].ok) << results[1].error;
     EXPECT_EQ(turnsA, kRounds);
@@ -367,12 +333,14 @@ TEST(Fleet, NotifyOutsideRunIsHarmless)
 {
     Fleet fleet(1);
     std::size_t idx =
-        fleet.addResumable("x", [] { return Fleet::StepOutcome::Done; });
-    fleet.notify(idx);        // before run: no-op
+        fleet.submitResumable("x", [] { return Fleet::StepOutcome::Done; });
+    fleet.notify(idx);        // before start(): no-op
     fleet.notify(idx + 1000); // out of range: no-op
-    std::vector<Fleet::JobResult> results = fleet.run();
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
     EXPECT_TRUE(results[0].ok);
-    fleet.notify(idx); // after run: no-op
+    EXPECT_EQ(results[0].steps, 1u);
+    fleet.notify(idx); // after shutdown(): no-op
 }
 
 TEST(Fleet, SubmitFeedsALivePoolAcrossEpochs)
@@ -546,39 +514,6 @@ TEST(Fleet, ParkedJobSurvivesBetweenEpochsUntilNotified)
     EXPECT_TRUE(results[0].ok) << results[0].error;
     EXPECT_EQ(steps.load(), 2u);
     fleet.shutdown();
-}
-
-TEST(Fleet, RunMayCarryMidRunSpawnsDeterministically)
-{
-    // The legacy batch call accepts submissions from job bodies too (the
-    // batch is just one pool epoch); the result layout is identical at any
-    // worker count.
-    std::vector<std::string> refNames;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE(std::to_string(threads) + " threads");
-        Fleet fleet(threads);
-        for (int i = 0; i < 3; ++i) {
-            fleet.add("root" + std::to_string(i), [&fleet, i] {
-                for (int c = 0; c < 2; ++c) {
-                    fleet.submit("spawn" + std::to_string(i) +
-                                     std::to_string(c),
-                                 [] {});
-                }
-            });
-        }
-        std::vector<Fleet::JobResult> results = fleet.run();
-        ASSERT_EQ(results.size(), 9u);
-        std::vector<std::string> names;
-        names.reserve(results.size());
-        for (const Fleet::JobResult &r : results) {
-            EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
-            names.push_back(r.name);
-        }
-        if (refNames.empty())
-            refNames = names;
-        else
-            EXPECT_EQ(names, refNames);
-    }
 }
 
 } // namespace

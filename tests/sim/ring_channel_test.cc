@@ -189,11 +189,12 @@ runPingPongFleet(unsigned rounds, Cycles latency, unsigned threads)
     Fleet fleet(threads);
     PingMachine a(ch.end(0), true, rounds);
     PingMachine b(ch.end(1), false, rounds);
-    std::size_t ia = fleet.addResumable("a", [&a] { return a.step(); });
-    std::size_t ib = fleet.addResumable("b", [&b] { return b.step(); });
+    std::size_t ia = fleet.submitResumable("a", [&a] { return a.step(); });
+    std::size_t ib = fleet.submitResumable("b", [&b] { return b.step(); });
     a.pacer.setWakeHook([&fleet, ia] { fleet.notify(ia); });
     b.pacer.setWakeHook([&fleet, ib] { fleet.notify(ib); });
-    for (const Fleet::JobResult &j : fleet.run())
+    fleet.start();
+    for (const Fleet::JobResult &j : fleet.shutdown())
         EXPECT_TRUE(j.ok) << j.name << ": " << j.error;
     return {a.machine.cpu(0).now(), b.machine.cpu(0).now(), a.digest,
             b.digest};
