@@ -27,7 +27,7 @@ class Stage2Test : public ::testing::Test
                                      .hwVtimers = true,
                                      .clockHz = 1.7e9,
                                      .cost = {}}),
-          mm(machine.ram())
+          mm(machine.ram(), machine.checkEngine())
     {
     }
 
