@@ -83,7 +83,7 @@ Kvm::restoreState(SnapshotReader &r)
     nextVmid_ = static_cast<std::uint16_t>(r.u32());
     std::uint32_t ncpus = r.u32();
     if (ncpus != machine().numCpus())
-        fatal("kvm: snapshot has %u CPUs, machine has %u", ncpus,
+        fatal("kvm: snapshot has %u CPUs, machine has %zu", ncpus,
               machine().numCpus());
     rebindHypOnCpu_.clear();
     for (std::uint32_t i = 0; i < ncpus; ++i)

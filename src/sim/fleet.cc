@@ -94,14 +94,8 @@ Fleet::submitLocked(std::string name, StepFn fn)
     // Worker tids are recorded under schedMutex_ by each worker before it
     // pops any job, so by the time a job body can call submit() its own
     // worker's tid is visible here.
-    std::size_t parentSlot = kNoSlot;
-    const auto self = std::this_thread::get_id();
-    for (const auto &wp : workers_) {
-        if (wp->tid == self && wp->currentSlot != kNoSlot) {
-            parentSlot = wp->currentSlot;
-            break;
-        }
-    }
+    const Worker *parent = steppingWorker();
+    const std::size_t parentSlot = parent ? parent->currentSlot : kNoSlot;
 
     JobMeta meta;
     unsigned home = 0;
@@ -140,7 +134,7 @@ Fleet::submitLocked(std::string name, StepFn fn)
         MutexLock stats(statsMutex_);
         ++stats_.jobsSpawned;
     }
-    return slot;
+    return slotBase_ + slot;
 }
 
 bool
@@ -183,19 +177,43 @@ Fleet::enqueue(Job job)
     home.jobs.push_back(std::move(job));
 }
 
+Fleet::Worker *
+Fleet::steppingWorker()
+{
+    const auto self = std::this_thread::get_id();
+    for (const auto &wp : workers_) {
+        if (wp->tid == self && wp->currentSlot != kNoSlot)
+            return wp.get();
+    }
+    return nullptr;
+}
+
 void
-Fleet::notify(std::size_t index)
+Fleet::notify(std::size_t handle)
 {
     if (!workersLive_.load(std::memory_order_acquire))
         return;
     CondLock lock(schedMutex_);
-    if (index >= state_.size())
+    // Handles of earlier epochs were retired by drain(); their jobs are
+    // finished, so waking them is a no-op like any finished job.
+    if (handle < slotBase_ || handle - slotBase_ >= state_.size())
         return;
+    const std::size_t index = handle - slotBase_;
     switch (state_[index]) {
       case JobState::Parked:
         state_[index] = JobState::Queued;
-        enqueue(std::move(parked_[index]));
-        cvWork_.notify_one();
+        if (Worker *waker = steppingWorker()) {
+            // Waker-local handoff: the waker is a job body on one of our
+            // workers, which will pop its own deque as soon as its step
+            // returns. Run the woken job there next instead of paying a
+            // cross-thread wake; an awake thief can still steal it.
+            ++queuedCount_;
+            MutexLock wlock(waker->mutex);
+            waker->jobs.push_front(std::move(parked_[index]));
+        } else {
+            enqueue(std::move(parked_[index]));
+            cvWork_.notify_one();
+        }
         break;
       case JobState::Running:
         // Mid-step wake: latch it so a Blocked return re-queues instead
@@ -361,19 +379,14 @@ Fleet::collectEpoch()
     // completion or arrival order.
     std::vector<std::pair<const std::vector<std::uint64_t> *, std::size_t>>
         order;
-    for (std::size_t i = 0; i < state_.size(); ++i) {
-        if (state_[i] == JobState::Finished && !meta_[i].returned)
-            order.emplace_back(&meta_[i].path, i);
-    }
+    for (std::size_t i = 0; i < meta_.size(); ++i)
+        order.emplace_back(&meta_[i].path, i);
     std::sort(order.begin(), order.end(),
               [](const auto &a, const auto &b) { return *a.first < *b.first; });
     std::vector<JobResult> out;
     out.reserve(order.size());
-    for (const auto &entry : order) {
-        std::size_t slot = entry.second;
-        meta_[slot].returned = true;
-        out.push_back(std::move(results_[slot]));
-    }
+    for (const auto &entry : order)
+        out.push_back(std::move(results_[entry.second]));
     return out;
 }
 
@@ -382,12 +395,9 @@ Fleet::drainLocked(CondLock &lock)
 {
     if (draining_)
         fatal("Fleet::drain: a drain is already in progress");
-    const auto self = std::this_thread::get_id();
-    for (const auto &wp : workers_) {
-        if (wp->tid == self && wp->currentSlot != kNoSlot)
-            fatal("Fleet::drain: called from inside a job body — only the "
-                  "pool owner may quiesce the fleet");
-    }
+    if (steppingWorker())
+        fatal("Fleet::drain: called from inside a job body — only the "
+              "pool owner may quiesce the fleet");
     draining_ = true;
     failDeadlockedParked(); // every worker may already be asleep
     while (unfinished_ != 0) {
@@ -396,6 +406,13 @@ Fleet::drainLocked(CondLock &lock)
     }
     draining_ = false;
     auto out = collectEpoch();
+    // Every job of the epoch is finished and returned: retire its slots
+    // so the bookkeeping stays bounded by one epoch, not the pool's life.
+    slotBase_ += state_.size();
+    state_.clear();
+    parked_.clear();
+    meta_.clear();
+    results_.clear();
     epochsDone_.fetch_add(1, std::memory_order_release);
     {
         MutexLock stats(statsMutex_);

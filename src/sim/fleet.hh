@@ -44,9 +44,11 @@
  * advances its machine until it must wait for a peer (e.g. a RingPacer
  * window blocked on the peer's horizon) and returns Blocked. The fleet
  * parks the job without occupying a worker; notify() — typically wired to
- * a RingChannel wake hook — re-queues it. A notify that races the step
- * (arriving while the job runs) is latched and converts the park into an
- * immediate re-queue, so wakeups are never lost. At one worker thread this
+ * a RingChannel wake hook — re-queues it. A notify from inside a job body
+ * hands the woken job to the front of the notifying worker's own deque, so
+ * it runs there next without a cross-thread wake. A notify that races the
+ * step (arriving while the job runs) is latched and converts the park into
+ * an immediate re-queue, so wakeups are never lost. At one worker thread this
  * degrades to serial round-robin between the communicating jobs, which is
  * exactly the reference schedule the determinism gates compare against.
  * While a drain is in progress, a job parked with every worker idle and
@@ -58,6 +60,8 @@
  *
  * A pool starts once and shuts down once. A one-shot batch is submit()
  * for every job, then start() and shutdown(), which returns the results.
+ * Per-job bookkeeping lives only for its epoch: drain() retires it, so a
+ * long-lived pool's memory is bounded by its largest epoch.
  */
 
 #ifndef KVMARM_SIM_FLEET_HH
@@ -105,7 +109,8 @@ class Fleet
         std::string error;      //!< exception text when !ok
         double wallSeconds = 0; //!< host wall-clock total across steps
         unsigned worker = 0;    //!< worker thread that ran the last step
-        bool stolen = false;    //!< some step ran on a non-home worker
+        bool stolen = false;    //!< some step was stolen from another
+                                //!< worker's deque
         std::uint64_t steps = 0; //!< times the body was entered
         /** Deterministic submission key: the id of the submitting job
          *  (kExternalSubmitter for the owner thread) and that submitter's
@@ -164,7 +169,7 @@ class Fleet
      * while the pool runs, including from inside a running job body (the
      * spawn case: the submission is stamped with the running job's id as
      * its submitter). Hard error after shutdown(). Returns the job's
-     * handle for notify().
+     * handle for notify(), valid until the drain() that returns the job.
      */
     std::size_t submit(std::string name, JobFn fn);
 
@@ -202,11 +207,14 @@ class Fleet
     /**
      * Wake a parked job (thread-safe; callable from job bodies — the
      * usual caller is a RingChannel wake hook running on a peer's
-     * worker). If the job is mid-step, the wake is latched so the
+     * worker). Called from a job body, the woken job goes to the front of
+     * that worker's deque (waker-local handoff); otherwise to its home
+     * worker. If the job is mid-step, the wake is latched so the
      * subsequent Blocked return re-queues instead of parking. No-op for
-     * queued/finished jobs or while no workers are live.
+     * queued/finished jobs, for handles of drained epochs, or while no
+     * workers are live.
      */
-    void notify(std::size_t index);
+    void notify(std::size_t handle);
 
     /** Counters since construction. Quiesced-only: valid once shutdown()
      *  has returned (or between drains with no external submitter
@@ -224,7 +232,7 @@ class Fleet
     {
         std::string name;
         StepFn fn;
-        std::size_t slot;  //!< index into the per-slot bookkeeping arrays
+        std::size_t slot;  //!< index into this epoch's bookkeeping arrays
         unsigned home;     //!< worker the job was dealt to
     };
 
@@ -239,7 +247,6 @@ class Fleet
         std::uint64_t seq = 0;       //!< submitter-private sequence
         std::uint64_t childSeq = 0;  //!< next seq this job hands a spawn
         std::vector<std::uint64_t> path; //!< key path for result ordering
-        bool returned = false;       //!< already handed out by a drain
     };
 
     /** Lifecycle of one job. */
@@ -271,6 +278,8 @@ class Fleet
 
     std::size_t submitLocked(std::string name, StepFn fn)
         KVMARM_REQUIRES(schedMutex_);
+    /** The worker whose job body is running on this thread, if any. */
+    Worker *steppingWorker() KVMARM_REQUIRES(schedMutex_);
     bool popOwn(unsigned w, Job &out);
     bool stealFrom(unsigned thief, Job &out);
     void enqueue(Job job) KVMARM_REQUIRES(schedMutex_);
@@ -289,9 +298,10 @@ class Fleet
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> pool_;
 
-    /** Scheduling state shared by workers, submitters and notify().
-     *  Deques, not vectors: slots grow while workers hold references to
-     *  existing elements, and deque growth never moves them. */
+    /** Scheduling state shared by workers, submitters and notify(), one
+     *  slot per job of the current epoch; drain() clears them. Deques,
+     *  not vectors: slots grow while workers hold references to existing
+     *  elements, and deque growth never moves them. */
     Mutex schedMutex_;
     /** Workers sleep on cvWork_ (signalled by submissions and wakes);
      *  drain() sleeps on cvDone_ (signalled when unfinished_ hits zero).
@@ -303,6 +313,8 @@ class Fleet
     std::deque<Job> parked_ KVMARM_GUARDED_BY(schedMutex_);
     std::deque<JobMeta> meta_ KVMARM_GUARDED_BY(schedMutex_);
     std::deque<JobResult> results_ KVMARM_GUARDED_BY(schedMutex_);
+    /** Handle of slot 0: the jobs of all drained epochs. */
+    std::size_t slotBase_ KVMARM_GUARDED_BY(schedMutex_) = 0;
     std::uint64_t externalSeq_ KVMARM_GUARDED_BY(schedMutex_) = 0;
     std::size_t unfinished_ KVMARM_GUARDED_BY(schedMutex_) = 0;
     std::size_t queuedCount_ KVMARM_GUARDED_BY(schedMutex_) = 0;

@@ -29,9 +29,33 @@ RingChannel::end(unsigned side)
     return ends_[side];
 }
 
-std::function<void()>
-RingChannel::wakeHookOf(unsigned side) const
+Cycles
+RingChannel::boundOf(unsigned side) const
 {
+    const Side &self = sides_[side];
+    const Side &peer = sides_[1 - side];
+    if (peer.closed)
+        return kNoDeadline;
+    Cycles bound = peer.horizon + latency_;
+    if (!peer.idleForever)
+        return bound;
+    // Chandy–Misra null message: an idle peer sends nothing until a
+    // delivery wakes it, and its first send is no earlier than that
+    // delivery. Deliveries can come from our in-flight messages, from
+    // anything we send from our horizon on, or from the peer's other
+    // rings. pull() clears idleForever under this lock the moment a
+    // delivery moves into the peer's machine, so the wider bound never
+    // outlives the idleness it rests on.
+    Cycles wake = std::min(self.horizon + latency_, peer.wakeFloor);
+    if (!self.outbox.empty())
+        wake = std::min(wake, self.outbox.front().deliverCycle);
+    return std::max(bound, wake + latency_);
+}
+
+std::function<void()>
+RingChannel::takeWake(unsigned side)
+{
+    sides_[side].need = kNoDeadline;
     return sides_[side].wake;
 }
 
@@ -98,7 +122,8 @@ RingChannel::sendFrom(unsigned side, Cycles now,
 }
 
 void
-RingChannel::publish(unsigned side, Cycles horizon, bool idleForever)
+RingChannel::publish(unsigned side, Cycles horizon, bool idleForever,
+                     Cycles wakeFloor)
 {
     std::function<void()> wake;
     {
@@ -112,10 +137,25 @@ RingChannel::publish(unsigned side, Cycles horizon, bool idleForever)
                   static_cast<unsigned long long>(horizon));
         self.horizon = horizon;
         self.idleForever = idleForever;
-        wake = wakeHookOf(1 - side);
+        self.wakeFloor = wakeFloor;
+        // Only a publish that lets the parked peer run wakes it; the
+        // peer re-checks under this lock in park(), so no wake is lost.
+        const Cycles need = sides_[1 - side].need;
+        if (need != kNoDeadline && boundOf(1 - side) >= need)
+            wake = takeWake(1 - side);
     }
     if (wake)
         wake();
+}
+
+bool
+RingChannel::park(unsigned side, Cycles need)
+{
+    MutexLock lock(mutex_);
+    if (sides_[1 - side].aborted || boundOf(side) >= need)
+        return false;
+    sides_[side].need = need;
+    return true;
 }
 
 void
@@ -170,11 +210,12 @@ RingChannel::peerView(unsigned side) const
     MutexLock lock(mutex_);
     const Side &peer = sides_[1 - side];
     PeerView v;
-    v.horizon = peer.horizon;
+    v.bound = boundOf(side);
+    if (!peer.outbox.empty())
+        v.nextInbound = peer.outbox.front().deliverCycle;
     v.closed = peer.closed;
     v.aborted = peer.aborted;
-    v.idleForever = peer.idleForever;
-    v.inboundPending = !peer.outbox.empty();
+    v.idleForever = peer.idleForever && peer.wakeFloor == kNoDeadline;
     v.outboundPending = !sides_[side].outbox.empty();
     v.abortReason = peer.abortReason;
     return v;
@@ -189,7 +230,7 @@ RingChannel::close(unsigned side)
         if (sides_[side].closed)
             return;
         sides_[side].closed = true;
-        wake = wakeHookOf(1 - side);
+        wake = takeWake(1 - side);
     }
     if (wake)
         wake();
@@ -206,7 +247,7 @@ RingChannel::abort(unsigned side, std::string reason)
             return;
         self.aborted = true;
         self.abortReason = std::move(reason);
-        wake = wakeHookOf(1 - side);
+        wake = takeWake(1 - side);
     }
     if (wake)
         wake();
@@ -271,6 +312,16 @@ RingPacer::abortAll(const std::string &reason)
         ep->channel().abort(ep->side(), reason);
 }
 
+void
+RingPacer::publishAll(bool idle)
+{
+    // A pacer with more than one ring cannot bound when its other rings
+    // will wake it, so it offers no idle lookahead beyond its horizon.
+    const Cycles wakeFloor = eps_.size() > 1 ? horizon_ : kNoDeadline;
+    for (RingChannel::Endpoint *ep : eps_)
+        ep->channel().publish(ep->side(), horizon_, idle, wakeFloor);
+}
+
 RingPacer::Step
 RingPacer::step()
 {
@@ -294,6 +345,14 @@ RingPacer::step()
 
         Cycles next = horizon_ + window_;
         Cycles allowed = kNoDeadline;
+        Cycles inbound = kNoDeadline;
+        // A peer counts as a possible input source if it has undelivered
+        // messages for us, or is still open and either running or has
+        // undelivered messages FROM us in flight — those will wake it
+        // when its horizon reaches their delivery cycle. A closed peer
+        // sends nothing new, but what it already sent still gets
+        // delivered.
+        bool inputPossible = false;
         for (RingChannel::Endpoint *ep : eps_) {
             RingChannel::PeerView v = ep->channel().peerView(ep->side());
             if (v.aborted) {
@@ -305,31 +364,30 @@ RingPacer::step()
                       name_.c_str(), ep->channel().name().c_str(),
                       v.abortReason.c_str());
             }
-            if (!v.closed)
-                allowed =
-                    std::min(allowed, v.horizon + ep->channel().latency());
+            allowed = std::min(allowed, v.bound);
+            inbound = std::min(inbound, v.nextInbound);
+            if (v.nextInbound != kNoDeadline ||
+                (!v.closed && (v.outboundPending || !v.idleForever)))
+                inputPossible = true;
         }
 
-        if (allowed < next)
-            return Step::Blocked;
+        if (allowed < next) {
+            // Park the need on every ring; park() re-checks each bound
+            // under its channel lock, so a publish that raced the views
+            // above is seen here or wakes us later — never lost. Parking
+            // on a ring that is not short records nothing.
+            bool blocked = false;
+            for (RingChannel::Endpoint *ep : eps_)
+                blocked |= ep->channel().park(ep->side(), next);
+            if (blocked)
+                return Step::Blocked;
+            continue;
+        }
 
         if (machine_.nextActivity() == kNoDeadline) {
             // The machine cannot progress on its own. If no open peer can
             // ever feed it a message, no future window changes anything:
-            // this is a rendezvous deadlock, not idleness. A peer counts
-            // as a possible input source if it is still running, has
-            // undelivered messages for us, or has undelivered messages
-            // FROM us still in flight — those will wake it when its
-            // horizon reaches their delivery cycle.
-            bool inputPossible = false;
-            for (RingChannel::Endpoint *ep : eps_) {
-                RingChannel::PeerView v = ep->channel().peerView(ep->side());
-                // A closed peer sends nothing new, but what it already
-                // sent still gets delivered.
-                if (v.inboundPending ||
-                    (!v.closed && (v.outboundPending || !v.idleForever)))
-                    inputPossible = true;
-            }
+            // this is a rendezvous deadlock, not idleness.
             if (!inputPossible) {
                 done_ = true;
                 abortAll("rendezvous deadlock detected at machine '" +
@@ -340,6 +398,17 @@ RingPacer::step()
                       "flight",
                       name_.c_str(),
                       static_cast<unsigned long long>(horizon_));
+            }
+            // Every window ending at or before both the bound and the
+            // earliest inbound delivery would pull nothing and run an
+            // idle machine (a no-op): pass them all with one publish.
+            const Cycles skip =
+                (std::min(allowed, inbound) - horizon_) / window_;
+            if (skip > 0) {
+                horizon_ += skip * window_;
+                windowsRun_ += skip;
+                publishAll(true);
+                continue;
             }
         }
 
@@ -357,10 +426,8 @@ RingPacer::step()
 
         horizon_ = next;
         ++windowsRun_;
-        bool idle =
-            !machine_.finished() && machine_.nextActivity() == kNoDeadline;
-        for (RingChannel::Endpoint *ep : eps_)
-            ep->channel().publish(ep->side(), horizon_, idle);
+        publishAll(!machine_.finished() &&
+                   machine_.nextActivity() == kNoDeadline);
     }
 }
 

@@ -8,16 +8,23 @@
  * seq), both of which are pure functions of simulated execution.
  *
  * RingPacer turns that into a conservative time-window protocol (DESIGN.md
- * §4.10): each machine advances in fixed windows of W = min attached
- * latency. Before executing window [h, h+W) it requires every open peer's
- * committed horizon to satisfy peer_h + latency >= h+W — which guarantees
- * every message deliverable inside the window has already been sent — then
- * pulls exactly that window's deliveries, runs the machine to h+W, and
- * publishes the new horizon. Because the pacer pauses at every boundary
- * unconditionally, a blocked ("parked") step differs from an unblocked one
- * only in wall-clock time, never in simulated behaviour: two communicating
- * machines on different fleet workers stay bit-identical to serial
- * round-robin execution.
+ * §4.10): each machine advances on a fixed grid of windows [k·W, (k+1)·W),
+ * W = min attached latency. Before executing window [h, h+W) it requires
+ * every open peer's send bound to reach h+W — which guarantees every
+ * message deliverable inside the window has already been sent — then pulls
+ * exactly that window's deliveries, runs the machine to h+W, and publishes
+ * the new horizon. A peer's bound is its horizon plus the latency, widened
+ * when the peer is idle with nothing pending (it cannot send before a
+ * delivery wakes it). An idle machine skips whole windows whose pulls are
+ * provably empty instead of stepping through them. The grid and every pull
+ * window are the same whether a step parks, skips or runs, so a blocked
+ * ("parked") step differs from an unblocked one only in wall-clock time,
+ * never in simulated behaviour: two communicating machines on different
+ * fleet workers stay bit-identical to serial round-robin execution.
+ *
+ * Receivers must act no earlier than a message's deliverCycle (schedule
+ * an event there, as VringDevice does): the idle-peer bound relies on a
+ * delivery at cycle d causing no send before d.
  *
  * All Endpoint/pacer machine-side calls happen on whichever host thread is
  * currently running that machine's job (machines stay single-threaded by
@@ -71,11 +78,17 @@ class RingChannel
     /** What a pacer needs to know about its peer, read atomically. */
     struct PeerView
     {
-        Cycles horizon = 0;       //!< peer's committed send horizon
+        /** Every message the peer will ever deliver to us below this
+         *  cycle has been sent; kNoDeadline once the peer is closed. */
+        Cycles bound = 0;
+        /** Earliest undelivered peer->us deliverCycle, or kNoDeadline. */
+        Cycles nextInbound = kNoDeadline;
         bool closed = false;      //!< peer finished cleanly
         bool aborted = false;     //!< peer terminated abnormally
-        bool idleForever = false; //!< peer idle with no pending events
-        bool inboundPending = false;  //!< undelivered peer->us messages
+        /** Peer idle with no pending events, and this ring is the only
+         *  thing that can wake it (a peer pacing other rings may be woken
+         *  there, so its idleness never reads as "forever"). */
+        bool idleForever = false;
         bool outboundPending = false; //!< undelivered us->peer messages
         std::string abortReason;
     };
@@ -96,8 +109,9 @@ class RingChannel
          *  seq) order during the owning pacer's window pulls. */
         void setReceiver(std::function<void(const RingMessage &)> rx);
 
-        /** Invoked (without the channel lock) whenever the peer publishes
-         *  progress, closes, or aborts — the fleet wake hook. */
+        /** Invoked (without the channel lock) when a publish by the peer
+         *  lifts this side's bound to the horizon recorded by park(), and
+         *  whenever the peer closes or aborts — the fleet wake hook. */
         void setWakeHook(std::function<void()> wake);
 
         RingChannel &channel() { return *ch_; }
@@ -114,10 +128,24 @@ class RingChannel
     /// @name Pacer protocol (any thread)
     /// @{
 
-    /** Commit that @p side will never again send below @p horizon, and
-     *  whether its machine is idle with no pending events. Wakes the
-     *  peer. */
-    void publish(unsigned side, Cycles horizon, bool idleForever);
+    /**
+     * Commit that @p side will never again send below @p horizon, and
+     * whether its machine is idle with no pending events. @p wakeFloor is
+     * the earliest cycle at which a delivery on some *other* ring could
+     * wake an idle @p side (kNoDeadline when this is its only ring). Wakes
+     * the peer if that lifts the peer's bound to its parked need.
+     */
+    void publish(unsigned side, Cycles horizon, bool idleForever,
+                 Cycles wakeFloor);
+
+    /**
+     * Record that @p side cannot run until its bound reaches @p need, so
+     * the peer's next publish that gets it there fires the wake hook. The
+     * bound is re-checked under the same lock: returns false (nothing
+     * recorded) if it already reaches @p need or the peer has closed or
+     * aborted — the caller must re-evaluate instead of parking.
+     */
+    bool park(unsigned side, Cycles need);
 
     /** Deliver every message destined for @p side with deliverCycle in
      *  [from, to) to its receiver, in (deliverCycle, seq) order. fatal()
@@ -145,6 +173,9 @@ class RingChannel
         bool closed = false;
         bool aborted = false;
         bool idleForever = false;
+        Cycles wakeFloor = kNoDeadline; //!< see publish()
+        /** Bound this side is parked on; kNoDeadline when not parked. */
+        Cycles need = kNoDeadline;
         std::string abortReason;
         std::uint64_t sendSeq = 0;
         /** Messages sent by this side, sorted by (deliverCycle, seq). */
@@ -156,9 +187,12 @@ class RingChannel
     std::uint64_t sendFrom(unsigned side, Cycles now,
                            std::vector<std::uint8_t> payload);
 
-    /** Copy the peer's wake hook under the lock, run it after unlock. */
-    std::function<void()> wakeHookOf(unsigned side) const
-        KVMARM_REQUIRES(mutex_);
+    /** The bound @p side's pacer may run to (PeerView::bound). */
+    Cycles boundOf(unsigned side) const KVMARM_REQUIRES(mutex_);
+
+    /** Clear @p side's parked need and copy its wake hook, to run after
+     *  unlock. */
+    std::function<void()> takeWake(unsigned side) KVMARM_REQUIRES(mutex_);
 
     std::string name_;
     Cycles latency_;
@@ -170,8 +204,9 @@ class RingChannel
 /**
  * Drives one machine through the conservative window protocol. Resumable:
  * step() advances the machine window by window until the machine finishes
- * (Done) or a peer's horizon blocks the next window (Blocked — re-step
- * after a wake hook fires). Designed as a Fleet resumable job body.
+ * (Done) or a peer's bound blocks the next window (Blocked — the need is
+ * parked on the channel; re-step after a wake hook fires). Designed as a
+ * Fleet resumable job body.
  *
  * While any endpoint is attached the machine carries a snapshot blocker:
  * in-flight channel messages live outside the machine's snapshottable
@@ -210,12 +245,13 @@ class RingPacer
     /** Committed horizon (cycles) of this pacer's machine. */
     Cycles horizon() const { return horizon_; }
 
-    /** Windows executed so far (for tests). */
+    /** Windows passed so far, run or skipped while idle (for tests). */
     std::uint64_t windowsRun() const { return windowsRun_; }
 
   private:
     void closeAll();
     void abortAll(const std::string &reason);
+    void publishAll(bool idle);
 
     MachineBase &machine_;
     std::string name_;

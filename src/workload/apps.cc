@@ -47,25 +47,6 @@ waitDev(SysPort &port, const LinuxCosts &costs, unsigned slot,
             [&] { return port.devCompletions(slot) >= count; });
 }
 
-/** Hand one work item to the worker CPU and wait for it (SMP), or run it
- *  inline through a context switch (UP). */
-void
-dispatch(SysPort &port, AppShared &sh, bool smp, const LinuxCosts &costs,
-         LmbenchOps &ops, const std::function<void(SysPort &)> &item)
-{
-    if (!smp) {
-        ops.switchTo();
-        item(port);
-        ops.switchTo();
-        return;
-    }
-    ++sh.submitted;
-    port.kernelCompute(costs.wakeup);
-    port.sendRescheduleIpi(1);
-    std::uint64_t want = sh.submitted;
-    waitFor(port, costs, [&] { return sh.completed >= want; });
-}
-
 /** Queue a work item without waiting (pipelined server); the wakeup IPI
  *  is suppressed when the worker is already running through its backlog
  *  (try_to_wake_up only interrupts idle CPUs). */

@@ -2,7 +2,8 @@
  * @file
  * Fleet executor tests: job completion across thread counts, round-robin
  * dealing with job stealing, error capture, fault-injection isolation,
- * park/notify, live submission and mid-run spawns.
+ * park/notify (including waker-local handoff), live submission, mid-run
+ * spawns, and per-epoch slot retirement.
  */
 
 #include <gtest/gtest.h>
@@ -243,8 +244,9 @@ TEST(Fleet, ResumableJobParksAndResumesOnNotify)
         EXPECT_TRUE(results[1].ok) << results[1].error;
         EXPECT_EQ(waiterSteps.load(), 2u);
         EXPECT_EQ(results[0].steps, 2u);
-        if (threads == 1)
+        if (threads == 1) {
             EXPECT_GE(fleet.stats().jobsParked, 1u);
+        }
     }
 }
 
@@ -327,6 +329,64 @@ TEST(Fleet, SingleThreadAlternatesCommunicatingJobs)
     EXPECT_TRUE(results[1].ok) << results[1].error;
     EXPECT_EQ(turnsA, kRounds);
     EXPECT_EQ(turnsB, kRounds);
+}
+
+TEST(Fleet, HandoffWakeRunsTheWokenJobNextOnTheWaker)
+{
+    // One worker, so the deque order is the run order. A notify from a
+    // job body puts the woken job at the front of the waker's deque: it
+    // runs right after the waker, ahead of jobs queued before the wake,
+    // and runs to completion.
+    Fleet fleet(1);
+    std::vector<std::string> order; // single thread: no lock needed
+    unsigned waiterSteps = 0;
+    std::size_t waiter = fleet.submitResumable("waiter", [&] {
+        order.push_back("waiter");
+        return ++waiterSteps == 1 ? Fleet::StepOutcome::Blocked
+                                  : Fleet::StepOutcome::Done;
+    });
+    fleet.submit("waker", [&] {
+        order.push_back("waker");
+        fleet.notify(waiter); // waiter is parked: hand it off
+    });
+    fleet.submit("queued", [&] { order.push_back("queued"); });
+    fleet.start();
+    std::vector<Fleet::JobResult> results = fleet.shutdown();
+    for (const Fleet::JobResult &r : results)
+        EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+    EXPECT_EQ(results[0].steps, 2u);
+    EXPECT_EQ(order, (std::vector<std::string>{"waiter", "waker", "waiter",
+                                               "queued"}));
+}
+
+TEST(Fleet, StaleHandleAfterDrainIsANoOp)
+{
+    // drain() retires the epoch's slots; a handle from an earlier epoch
+    // must never reach a job of a later one.
+    Fleet fleet(1);
+    fleet.start();
+    std::size_t old =
+        fleet.submitResumable("old", [] { return Fleet::StepOutcome::Done; });
+    ASSERT_EQ(fleet.drain().size(), 1u);
+
+    std::atomic<unsigned> steps{0};
+    std::atomic<bool> release{false};
+    std::size_t fresh = fleet.submitResumable("fresh", [&] {
+        ++steps;
+        return release ? Fleet::StepOutcome::Done
+                       : Fleet::StepOutcome::Blocked;
+    });
+    EXPECT_NE(fresh, old);
+    while (steps.load() == 0)
+        std::this_thread::yield();
+    fleet.notify(old); // retired handle: must not wake "fresh"
+    release = true;
+    fleet.notify(fresh);
+    std::vector<Fleet::JobResult> results = fleet.drain();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(steps.load(), 2u);
+    fleet.shutdown();
 }
 
 TEST(Fleet, NotifyOutsideRunIsHarmless)

@@ -8,11 +8,14 @@
  * a peer terminating mid-wait unblocking the waiter with an error instead
  * of a hang, true rendezvous deadlock detection, and bit-identical
  * ping-pong execution between serial round-robin and parked/fleet-driven
- * stepping.
+ * stepping — for a pair and for a chain whose middle machine paces two
+ * rings. The rendezvous fast paths are pinned too: the idle-peer bound,
+ * filtered wakes, and idle-window skipping.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,6 +99,105 @@ TEST(RingChannel, SendToClosedOrAbortedPeerIsFatal)
     }
 }
 
+TEST(RingChannel, IdlePeerBoundWidensUntilSomethingIsInFlight)
+{
+    RingChannel ch("idle", 100);
+    // Side 0 has committed horizon 1000; side 1 lags at 200.
+    ch.publish(0, 1000, false, kNoDeadline);
+    ch.publish(1, 200, false, kNoDeadline);
+    EXPECT_EQ(ch.peerView(0).bound, 300u); // running peer: horizon + L
+
+    // An idle peer cannot send before something wakes it. Nothing is in
+    // flight, and our own sends start at 1000, reaching it at 1100 at
+    // the earliest: its first reply can land no earlier than 1200.
+    ch.publish(1, 200, true, kNoDeadline);
+    EXPECT_EQ(ch.peerView(0).bound, 1200u);
+
+    // A peer that paces other rings may be woken there from its horizon
+    // on: the bound falls back to horizon + L.
+    ch.publish(1, 200, true, 200);
+    EXPECT_EQ(ch.peerView(0).bound, 300u);
+
+    // An in-flight message wakes the idle peer at its delivery cycle.
+    RingChannel ch2("inflight", 100);
+    ch2.end(1).setReceiver([](const RingMessage &) {});
+    ch2.end(0).send(500, bytes({1})); // delivers at 600
+    ch2.publish(0, 1000, false, kNoDeadline);
+    ch2.publish(1, 200, true, kNoDeadline);
+    EXPECT_EQ(ch2.peerView(0).bound, 700u);
+    // Pulling it moves the message into the peer's machine: the peer is
+    // no longer idle and the bound is horizon + L again.
+    ch2.pull(1, 600, 700);
+    EXPECT_EQ(ch2.peerView(0).bound, 300u);
+}
+
+TEST(RingChannel, PublishWakesOnlyAParkedPeerWhoseNeedIsMet)
+{
+    RingChannel ch("wake", 100);
+    unsigned wakes = 0;
+    ch.end(0).setWakeHook([&wakes] { ++wakes; });
+
+    ch.publish(1, 100, false, kNoDeadline);
+    EXPECT_EQ(wakes, 0u) << "side 0 is not parked";
+    // Already reachable: park() records nothing and says so.
+    EXPECT_FALSE(ch.park(0, 200));
+    EXPECT_TRUE(ch.park(0, 500)); // bound 200 < 500
+    ch.publish(1, 300, false, kNoDeadline); // bound 400: still short
+    EXPECT_EQ(wakes, 0u);
+    ch.publish(1, 400, false, kNoDeadline); // bound 500: need met
+    EXPECT_EQ(wakes, 1u);
+    ch.publish(1, 450, false, kNoDeadline); // the wake cleared the need
+    EXPECT_EQ(wakes, 1u);
+
+    // close() and abort() wake unconditionally.
+    EXPECT_TRUE(ch.park(0, 10'000));
+    ch.close(1);
+    EXPECT_EQ(wakes, 2u);
+    RingChannel ch2("abortwake", 100);
+    ch2.end(0).setWakeHook([&wakes] { ++wakes; });
+    ch2.abort(1, "gone");
+    EXPECT_EQ(wakes, 3u);
+    EXPECT_FALSE(ch2.park(0, 10'000)) << "an aborted peer never parks";
+}
+
+TEST(RingPacer, IdleMachineSkipsWindowsAndCountsThem)
+{
+    // A waits for one message; side 1 is driven by hand. Window = L.
+    const Cycles latency = 1000;
+    RingChannel ch("skip", latency);
+    ArmMachine ma(smallConfig());
+    RingPacer pa(ma, "a");
+    pa.attach(ch.end(0));
+    Cycles deliveredAt = 0;
+    bool got = false;
+    ch.end(0).setReceiver([&](const RingMessage &m) {
+        ma.cpu(0).events().schedule(m.deliverCycle, [&, m] {
+            got = true;
+            deliveredAt = ma.cpu(0).now();
+        });
+    });
+    ma.cpu(0).setEntry([&] {
+        ma.cpu(0).waitUntil([&] { return got; });
+        ma.cpu(0).compute(10);
+    });
+
+    // Peer at horizon 10000, nothing in flight: A runs [0, 1000), goes
+    // idle, then passes every window up to the bound 11000 at once.
+    ch.publish(1, 10'000, false, kNoDeadline);
+    EXPECT_EQ(pa.step(), RingPacer::Step::Blocked);
+    EXPECT_EQ(pa.horizon(), 11'000u);
+    EXPECT_EQ(pa.windowsRun(), 11u);
+    EXPECT_LT(ma.cpu(0).now(), 1000u) << "skipped windows run nothing";
+
+    // A message delivering at 15500 stops the skip at the window that
+    // holds it, which runs and delivers at exactly 15500.
+    ch.end(1).send(14'500, bytes({7}));
+    ch.publish(1, 20'000, false, kNoDeadline);
+    EXPECT_EQ(pa.step(), RingPacer::Step::Done);
+    EXPECT_EQ(deliveredAt, 15'500u);
+    EXPECT_EQ(pa.windowsRun(), 16u); // 11 + 4 skipped + [15000, 16000)
+}
+
 /** A machine whose entry ping-pongs @p rounds payloads over @p ep. */
 struct PingMachine
 {
@@ -143,20 +245,63 @@ struct PingMachine
     std::vector<std::uint8_t> lastPayload;
 };
 
+/** The middle of a chain: relays each payload from @p left to @p right
+ *  and the reply back, pacing both rings. */
+struct RelayMachine
+{
+    RelayMachine(RingChannel::Endpoint &left, RingChannel::Endpoint &right,
+                 unsigned rounds)
+        : machine(smallConfig()), pacer(machine, "relay")
+    {
+        pacer.attach(left);
+        pacer.attach(right);
+        CpuBase &cpu = machine.cpu(0);
+        left.setReceiver([this, &cpu](const RingMessage &msg) {
+            cpu.events().schedule(msg.deliverCycle, [this, msg] {
+                ++fromLeft;
+                toRight = msg.payload;
+                digest = digest * 1099511628211ull + msg.deliverCycle;
+            });
+        });
+        right.setReceiver([this, &cpu](const RingMessage &msg) {
+            cpu.events().schedule(msg.deliverCycle, [this, msg] {
+                ++fromRight;
+                toLeft = msg.payload;
+                digest = digest * 1099511628211ull + msg.deliverCycle;
+            });
+        });
+        cpu.setEntry([this, &left, &right, &cpu, rounds] {
+            for (std::uint64_t r = 1; r <= rounds; ++r) {
+                cpu.waitUntil([this, r] { return fromLeft >= r; });
+                cpu.addCycles(200);
+                right.send(cpu.now(), toRight);
+                cpu.waitUntil([this, r] { return fromRight >= r; });
+                cpu.addCycles(200);
+                left.send(cpu.now(), toLeft);
+            }
+        });
+    }
+
+    ArmMachine machine;
+    RingPacer pacer;
+    std::uint64_t fromLeft = 0, fromRight = 0;
+    std::uint64_t digest = 0x811c9dc5;
+    std::vector<std::uint8_t> toRight, toLeft;
+};
+
 /** Serial round-robin driver; fatals if a full round makes no progress. */
 void
-driveSerial(std::vector<PingMachine *> vms)
+driveSerial(std::vector<RingPacer *> pacers)
 {
     while (true) {
         bool all_done = true;
         bool progress = false;
-        for (PingMachine *vm : vms) {
-            std::uint64_t w0 = vm->pacer.windowsRun();
-            Fleet::StepOutcome s = vm->step();
-            if (s != Fleet::StepOutcome::Done)
+        for (RingPacer *pacer : pacers) {
+            std::uint64_t w0 = pacer->windowsRun();
+            RingPacer::Step s = pacer->step();
+            if (s != RingPacer::Step::Done)
                 all_done = false;
-            if (s == Fleet::StepOutcome::Done ||
-                vm->pacer.windowsRun() != w0)
+            if (s == RingPacer::Step::Done || pacer->windowsRun() != w0)
                 progress = true;
         }
         if (all_done)
@@ -177,7 +322,7 @@ runPingPongSerial(unsigned rounds, Cycles latency)
     RingChannel ch("pp", latency);
     PingMachine a(ch.end(0), true, rounds);
     PingMachine b(ch.end(1), false, rounds);
-    driveSerial({&a, &b});
+    driveSerial({&a.pacer, &b.pacer});
     return {a.machine.cpu(0).now(), b.machine.cpu(0).now(), a.digest,
             b.digest};
 }
@@ -212,6 +357,59 @@ TEST(RingPacer, PingPongIsBitIdenticalSerialVsFleet)
         EXPECT_EQ(r.cycles1, ref.cycles1) << threads << " threads";
         EXPECT_EQ(r.digest0, ref.digest0) << threads << " threads";
         EXPECT_EQ(r.digest1, ref.digest1) << threads << " threads";
+    }
+}
+
+/** Per-machine fingerprint of a 3-machine chain run. */
+struct ChainResult
+{
+    std::vector<Cycles> cycles;
+    std::vector<std::uint64_t> digests;
+};
+
+/** A -- B -- C: B paces two rings of different latency. @p threads 0
+ *  means serial round-robin, otherwise a fleet of that many workers. */
+ChainResult
+runChain(unsigned rounds, unsigned threads)
+{
+    RingChannel ab("ab", 3000);
+    RingChannel bc("bc", 5000);
+    // Declared before the machines: pacer destructors may still wake.
+    Fleet fleet(std::max(threads, 1u));
+    PingMachine a(ab.end(0), true, rounds);
+    RelayMachine b(ab.end(1), bc.end(0), rounds);
+    PingMachine c(bc.end(1), false, rounds);
+    std::vector<RingPacer *> pacers = {&a.pacer, &b.pacer, &c.pacer};
+    if (threads == 0) {
+        driveSerial(pacers);
+    } else {
+        for (RingPacer *p : pacers) {
+            std::size_t idx = fleet.submitResumable("vm", [p] {
+                return p->step() == RingPacer::Step::Done
+                           ? Fleet::StepOutcome::Done
+                           : Fleet::StepOutcome::Blocked;
+            });
+            p->setWakeHook([&fleet, idx] { fleet.notify(idx); });
+        }
+        fleet.start();
+        for (const Fleet::JobResult &j : fleet.shutdown())
+            EXPECT_TRUE(j.ok) << j.name << ": " << j.error;
+    }
+    return {{a.machine.cpu(0).now(), b.machine.cpu(0).now(),
+             c.machine.cpu(0).now()},
+            {a.digest, b.digest, c.digest}};
+}
+
+TEST(RingPacer, MultiRingChainIsBitIdenticalSerialVsFleet)
+{
+    const unsigned rounds = 20;
+    ChainResult ref = runChain(rounds, 0);
+    for (std::uint64_t d : ref.digests)
+        EXPECT_NE(d, 0x811c9dc5u) << "messages actually flowed";
+    for (unsigned threads : {1u, 2u, 4u}) {
+        ChainResult r = runChain(rounds, threads);
+        EXPECT_EQ(r.cycles, ref.cycles) << threads << " threads";
+        EXPECT_EQ(r.digests, ref.digests) << threads << " threads";
     }
 }
 

@@ -47,7 +47,10 @@ for path in glob.glob(os.path.join(out_dir, "profile-samples.*.txt")):
             samples.append([int(w, 16) for w in line.split()[1:]])
         elif line.startswith("M "):
             f = line.split()
-            if len(f) >= 7 and "x" in f[2]:
+            # Only file-backed mappings can be resolved; pseudo-mappings
+            # such as [vdso] (clock_gettime) stay unmapped and count as
+            # "other".
+            if len(f) >= 7 and "x" in f[2] and f[6].startswith("/"):
                 lo, hi = (int(x, 16) for x in f[1].split("-"))
                 maps.append((lo, hi, int(f[3], 16), f[6]))
 if not samples:
