@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include <sys/mman.h>
+
 #include "sim/logging.hh"
 
 #if !defined(__x86_64__)
@@ -116,6 +118,21 @@ Fiber::~Fiber()
     if (tsanFiber_)
         __tsan_destroy_fiber(tsanFiber_);
 #endif
+    // Give the stack's pages back to the kernel before freeing it, all but
+    // the top few that a fiber's usual call depth touches. The stack is a 1 MiB chunk
+    // of the malloc arena of the thread that first resumed the fiber, often
+    // laid over pages that earlier objects left resident. Freed as is,
+    // those pages stay resident while the arena reuses the chunk for small
+    // objects, and on a long-lived worker pool the footprint creeps up by
+    // an amount that depends on how fibers happened to spread over threads.
+    // Keeping the top pages spares the next fiber placed here a page fault.
+    constexpr std::uintptr_t kPage = 4096;
+    constexpr std::uintptr_t kKeptTop = 4 * kPage;
+    const auto base = reinterpret_cast<std::uintptr_t>(stack_.get());
+    const std::uintptr_t lo = (base + kPage - 1) & ~(kPage - 1);
+    const std::uintptr_t hi = ((base + stackSize_) & ~(kPage - 1)) - kKeptTop;
+    if (hi > lo)
+        madvise(reinterpret_cast<void *>(lo), hi - lo, MADV_DONTNEED);
 }
 
 Fiber *

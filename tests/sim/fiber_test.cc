@@ -4,8 +4,12 @@
 
 #include <cfenv>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/fiber.hh"
 
@@ -89,6 +93,64 @@ TEST(Fiber, DeepStackSurvives)
     Fiber f([&] { result = recurse(400); });
     f.resume();
     EXPECT_EQ(result, 400);
+}
+
+TEST(Fiber, StackOfAnAbandonedFiberIsReusable)
+{
+    // A fiber destroyed while suspended deep in its stack gives that
+    // stack's pages back and frees it; the next fiber, which the
+    // allocator will usually place on the same memory, must run cleanly.
+    std::function<int(int)> recurse = [&](int n) -> int {
+        volatile char pad[512];
+        pad[0] = static_cast<char>(n);
+        pad[511] = pad[0];
+        if (n == 0) {
+            Fiber::yield();
+            return 0;
+        }
+        return recurse(n - 1) + 1;
+    };
+    for (int round = 0; round < 8; ++round) {
+        {
+            Fiber abandoned([&] { recurse(300); });
+            abandoned.resume();
+            EXPECT_FALSE(abandoned.finished());
+        }
+        int result = 0;
+        Fiber f([&] { result = recurse(300); });
+        f.resume();
+        f.resume();
+        EXPECT_TRUE(f.finished());
+        EXPECT_EQ(result, 300);
+    }
+}
+
+TEST(Fiber, FinishesOnAnotherThreadThanItStarted)
+{
+    // A fleet job may be stepped by several workers: its fiber starts on
+    // one thread, finishes on another, and is destroyed (its stack pages
+    // given back) by the pool owner.
+    std::vector<std::unique_ptr<Fiber>> fibers;
+    int sum = 0;
+    std::thread([&] {
+        for (int i = 0; i < 16; ++i) {
+            fibers.push_back(std::make_unique<Fiber>([&sum, i] {
+                sum += i;
+                Fiber::yield();
+                sum += i;
+            }));
+            fibers.back()->resume();
+        }
+    }).join();
+    EXPECT_EQ(sum, 120);
+    std::thread([&] {
+        for (auto &f : fibers) {
+            f->resume();
+            EXPECT_TRUE(f->finished());
+        }
+    }).join();
+    EXPECT_EQ(sum, 240);
+    fibers.clear();
 }
 
 /** Holds five values in the callee-saved registers rbx and r12-r15
