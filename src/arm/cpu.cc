@@ -65,7 +65,7 @@ ArmCpu::trapToHyp(const Hsr &hsr)
 
     addCycles(armMachine_.cost().hypEret);
     setMode(hypReturnMode_);
-    irqMasked_ = hypReturnMask_;
+    setIrqMasked(hypReturnMask_);
 
     hypTrappedMode_ = prev_trapped_mode;
     hypTrappedMask_ = prev_trapped_mask;
@@ -85,7 +85,7 @@ ArmCpu::takePageFaultToKernel(Addr va, bool write, Access acc)
     bool saved_mask = irqMasked_;
     bool user = saved_mode == Mode::Usr;
     setMode(Mode::Abt);
-    irqMasked_ = true;
+    setIrqMasked(true);
     regs_[GpReg::SpsrAbt] = regs_[GpReg::Cpsr];
     regs_[GpReg::LrAbt] = regs_[GpReg::Pc];
     regs_[CtrlReg::DFAR] = static_cast<std::uint32_t>(va);
@@ -96,7 +96,7 @@ ArmCpu::takePageFaultToKernel(Addr va, bool write, Access acc)
 
     addCycles(armMachine_.cost().kernelEret);
     setMode(saved_mode);
-    irqMasked_ = saved_mask;
+    setIrqMasked(saved_mask);
     (void)acc;
     return handled;
 }
@@ -183,7 +183,7 @@ ArmCpu::svc(std::uint32_t num)
     Mode saved = mode_;
     bool saved_mask = irqMasked_;
     setMode(Mode::Svc);
-    irqMasked_ = true;
+    setIrqMasked(true);
     regs_[GpReg::SpsrSvc] = regs_[GpReg::Cpsr];
     regs_[GpReg::LrSvc] = regs_[GpReg::Pc];
     addCycles(armMachine_.cost().kernelEntry);
@@ -192,7 +192,7 @@ ArmCpu::svc(std::uint32_t num)
 
     addCycles(armMachine_.cost().kernelEret);
     setMode(saved);
-    irqMasked_ = saved_mask;
+    setIrqMasked(saved_mask);
 }
 
 void
@@ -438,7 +438,10 @@ ArmCpu::interruptPending() const
 void
 ArmCpu::serviceInterrupts()
 {
-    if (inIrqService_)
+    // Nothing is delivered in Hyp mode (IRQs to Hyp are masked, and guest
+    // and kernel IRQs need PL0/PL1), and every drain of a trap or world
+    // switch runs here.
+    if (inIrqService_ || mode_ == Mode::Hyp)
         return;
     inIrqService_ = true;
     // Livelock detection: every real delivery advances the clock, so a
@@ -500,7 +503,7 @@ ArmCpu::takeIrqToKernel()
     Mode saved = mode_;
     bool saved_mask = irqMasked_;
     setMode(Mode::Irq);
-    irqMasked_ = true;
+    setIrqMasked(true);
     regs_[GpReg::SpsrIrq] = regs_[GpReg::Cpsr];
     regs_[GpReg::LrIrq] = regs_[GpReg::Pc];
     addCycles(armMachine_.cost().kernelEntry);
@@ -509,7 +512,7 @@ ArmCpu::takeIrqToKernel()
 
     addCycles(armMachine_.cost().kernelEret);
     setMode(saved);
-    irqMasked_ = saved_mask;
+    setIrqMasked(saved_mask);
 }
 
 void

@@ -56,14 +56,22 @@ class ArmCpu : public CpuBase
         KVMARM_CHECK_ON(checkEngine_,
                         modeChange(&armMachine_, id_, mode_, m, hyp_.hcr.vm));
         mode_ = m;
+        needAttention();
     }
 
     RegisterFile &regs() { return regs_; }
     const RegisterFile &regs() const { return regs_; }
 
     /** Raw Hyp configuration state: hardware consulting (or tests
-     *  arranging) its own state. Software models must use hypSys(). */
-    HypState &hyp() { return hyp_; }
+     *  arranging) its own state. Software models must use hypSys().
+     *  HCR.IMO/VI route interrupts, so the writable view marks the CPU
+     *  for interrupt attention; readers use the const view. */
+    HypState &
+    hyp()
+    {
+        needAttention();
+        return hyp_;
+    }
     const HypState &hyp() const { return hyp_; }
 
     /** Hyp configuration state accessed *as software* (an MRC/MCR to the
@@ -73,20 +81,32 @@ class ArmCpu : public CpuBase
     hypSys(const char *reg)
     {
         KVMARM_CHECK_ON(checkEngine_, hypAccess(id_, mode_, reg));
+        needAttention();
         return hyp_;
     }
 
     Mmu &mmu() { return mmu_; }
 
     bool irqMasked() const { return irqMasked_; }
-    void setIrqMasked(bool m) { irqMasked_ = m; }
+    /** Write CPSR.I. Every write of the mask goes through here. */
+    void
+    setIrqMasked(bool m)
+    {
+        irqMasked_ = m;
+        needAttention();
+    }
     /// @}
 
     /// @name Software vectors
     /// @{
     void setHypVectors(HypVectors *v) { hypVectors_ = v; }
     HypVectors *hypVectors() { return hypVectors_; }
-    void setOsVectors(OsVectors *v) { osVectors_ = v; }
+    void
+    setOsVectors(OsVectors *v)
+    {
+        osVectors_ = v;
+        needAttention();
+    }
     OsVectors *osVectors() { return osVectors_; }
     /// @}
 

@@ -29,6 +29,13 @@ GicDistributor::accessLatency() const
 }
 
 void
+GicDistributor::touch()
+{
+    ++version_;
+    machine_.needAttentionAll();
+}
+
+void
 GicDistributor::raiseSpi(IrqId irq, Cycles when)
 {
     if (irq < kFirstSpi || irq >= kMaxIrqs)
@@ -174,16 +181,14 @@ GicDistributor::bestPending(CpuId cpu) const
             consider(sgi, bank.priority[sgi], src);
         }
     }
-    for (IrqId ppi = kFirstPpi; ppi < kFirstSpi; ++ppi) {
-        if (bank.ppiPending[ppi] && bank.enabled[ppi])
+    forEachPending(bank.ppiPending, kFirstPpi, [&](IrqId ppi) {
+        if (bank.enabled[ppi])
             consider(ppi, bank.priority[ppi], 0);
-    }
-    for (IrqId spi = kFirstSpi; spi < kMaxIrqs; ++spi) {
-        if (pending_[spi] && enabled_[spi] &&
-            (targets_[spi] & (1u << cpu))) {
+    });
+    forEachPending(pending_, kFirstSpi, [&](IrqId spi) {
+        if (enabled_[spi] && (targets_[spi] & (1u << cpu)))
             consider(spi, priority_[spi], 0);
-        }
-    }
+    });
     cache = {version_, best};
     return best;
 }
@@ -426,6 +431,7 @@ GicCpuInterface::restoreState(SnapshotReader &r)
             b.activeStack.push_back(p);
         }
     }
+    machine_.needAttentionAll();
 }
 
 Cycles
@@ -462,6 +468,7 @@ GicCpuInterface::acknowledgeIrq(CpuId cpu)
     }
     dist_.acknowledge(cpu, best.irq, best.source);
     b.activeStack.push_back(best);
+    machine_.needAttentionAll();
     // IAR encodes the source CPU of an SGI in bits [12:10].
     return best.irq | (best.irq < kNumSgis ? (best.source << 10) : 0);
 }
@@ -474,6 +481,7 @@ GicCpuInterface::endOfInterrupt(CpuId cpu, std::uint32_t value)
     for (auto it = b.activeStack.rbegin(); it != b.activeStack.rend(); ++it) {
         if (it->irq == irq) {
             b.activeStack.erase(std::next(it).base());
+            machine_.needAttentionAll();
             return;
         }
     }
@@ -507,6 +515,7 @@ GicCpuInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
 {
     (void)len;
     Bank &b = banks_.at(cpu);
+    machine_.needAttentionAll();
     switch (offset) {
       case gicc::CTLR:
         b.enabled = value & 1;

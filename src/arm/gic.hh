@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mem/bus.hh"
@@ -58,6 +59,33 @@ inline constexpr Addr EOIR = 0x10; //!< end of interrupt (write)
 inline constexpr Addr RPR = 0x14;  //!< running priority
 inline constexpr Addr HPPIR = 0x18; //!< highest priority pending
 } // namespace gicc
+
+/**
+ * Call @p fn(i), in ascending order, for every i in [@p first, N) whose
+ * flag is set. Eight flags are tested per load, so a scan of a mostly
+ * clear pending array costs a few compares instead of one branch per
+ * interrupt. @p first must be a multiple of 8.
+ */
+template <std::size_t N, typename Fn>
+void
+forEachPending(const std::array<bool, N> &flags, std::size_t first, Fn &&fn)
+{
+    std::size_t i = first;
+    for (; i + 8 <= N; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, &flags[i], sizeof(word));
+        if (!word)
+            continue;
+        for (std::size_t j = i; j < i + 8; ++j) {
+            if (flags[j])
+                fn(static_cast<IrqId>(j));
+        }
+    }
+    for (; i < N; ++i) {
+        if (flags[i])
+            fn(static_cast<IrqId>(i));
+    }
+}
 
 /** Highest-priority pending interrupt for one CPU. */
 struct PendingIrq
@@ -147,8 +175,9 @@ class GicDistributor : public MmioDevice, public Snapshottable
     void sgiDelivered(CpuId target, IrqId sgi, CpuId src,
                       std::uint64_t token);
 
-    /** Note a state change that can alter bestPending() results. */
-    void touch() { ++version_; }
+    /** Note a state change that can alter bestPending() results: drop
+     *  the memo and mark every CPU for interrupt attention. */
+    void touch();
 
     ArmMachine &machine_;
     unsigned numCpus_;

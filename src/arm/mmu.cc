@@ -1,5 +1,7 @@
 #include "arm/mmu.hh"
 
+#include <utility>
+
 #include "arm/cpu.hh"
 #include "arm/machine.hh"
 #include "sim/logging.hh"
@@ -78,7 +80,7 @@ Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost)
     const ArmCostModel &cm = cpu_.machine().cost();
     PhysMem &ram = cpu_.machine().ram();
 
-    Addr root = cpu_.hyp().vttbr & desc::kAddrMask;
+    Addr root = std::as_const(cpu_).hyp().vttbr & desc::kAddrMask;
     if (!root)
         panic("Mmu: Stage-2 enabled with no VTTBR programmed");
 
@@ -128,7 +130,7 @@ Mmu::translateHyp(Addr va, Access acc)
     const ArmCostModel &cm = cpu_.machine().cost();
     PhysMem &ram = cpu_.machine().ram();
 
-    if (!cpu_.hyp().hsctlrM) {
+    if (!std::as_const(cpu_).hyp().hsctlrM) {
         res.ok = true;
         res.pa = va;
         res.device = !ram.contains(va);
@@ -165,7 +167,7 @@ Mmu::translateHyp(Addr va, Access acc)
 
     Cycles cost = 0;
     WalkResult wr = walkTable(
-        cpu_.hyp().httbr, va, PtFormat::HypLpae,
+        std::as_const(cpu_).hyp().httbr, va, PtFormat::HypLpae,
         [&](Addr table_pa) -> std::optional<std::uint64_t> {
             if (!ram.contains(table_pa, 8))
                 return std::nullopt;
@@ -211,8 +213,11 @@ Mmu::translate(Addr va, Access acc, Mode mode)
     const RegisterFile &regs = cpu_.regs();
 
     bool s1_on = regs[CtrlReg::SCTLR] & 1;
-    bool s2_on = cpu_.hyp().hcr.vm;
-    std::uint8_t vmid = s2_on ? std::uint8_t(cpu_.hyp().vmid()) : 0;
+    // Read through the const view: the non-const hyp() is for writers and
+    // marks the CPU as needing interrupt attention.
+    const HypState &hyp = std::as_const(cpu_).hyp();
+    bool s2_on = hyp.hcr.vm;
+    std::uint8_t vmid = s2_on ? std::uint8_t(hyp.vmid()) : 0;
     std::uint32_t asid = s1_on ? regs[CtrlReg::CONTEXTIDR] : 0;
 
     TlbKey key{TlbRegime::Pl0Pl1, vmid, asid, pageAlignDown(va)};

@@ -1,5 +1,7 @@
 #include "arm/timer.hh"
 
+#include <utility>
+
 #include "arm/cpu.hh"
 #include "arm/gic.hh"
 #include "arm/machine.hh"
@@ -22,7 +24,7 @@ GenericTimer::physCount(CpuId cpu) const
 std::uint64_t
 GenericTimer::virtCount(CpuId cpu) const
 {
-    return physCount(cpu) - machine_.cpu(cpu).hyp().cntvoff;
+    return physCount(cpu) - std::as_const(machine_.cpu(cpu)).hyp().cntvoff;
 }
 
 void
@@ -78,7 +80,7 @@ GenericTimer::armOne(CpuId cpu, bool virt_timer)
     // Absolute cycle at which the compare fires: the physical counter is
     // the CPU clock; the virtual timer's deadline is shifted by CNTVOFF.
     std::uint64_t offset =
-        virt_timer ? machine_.cpu(cpu).hyp().cntvoff : 0;
+        virt_timer ? std::as_const(machine_.cpu(cpu)).hyp().cntvoff : 0;
     Cycles deadline = t.cval + offset;
     Cycles now = machine_.cpuBase(cpu).now();
     if (deadline < now)

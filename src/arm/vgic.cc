@@ -33,6 +33,13 @@ VgicHypInterface::VgicHypInterface(ArmMachine &machine, GicDistributor &dist,
 {
 }
 
+VgicBank &
+VgicHypInterface::bank(CpuId cpu)
+{
+    machine_.needAttentionAll();
+    return banks_.at(cpu);
+}
+
 Cycles
 VgicHypInterface::accessLatency() const
 {
@@ -121,6 +128,7 @@ VgicHypInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
     (void)len;
     VgicBank &b = banks_.at(cpu);
     std::uint32_t v = static_cast<std::uint32_t>(value);
+    machine_.needAttentionAll();
     switch (offset) {
       case gich::HCR:
         b.en = v & 1;
@@ -276,6 +284,7 @@ VgicHypInterface::restoreState(SnapshotReader &r)
               banks_.size());
     for (VgicBank &b : banks_)
         r.pod(b);
+    machine_.needAttentionAll();
 }
 
 } // namespace kvmarm::arm

@@ -102,7 +102,10 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
     VgicHypInterface(ArmMachine &machine, GicDistributor &dist,
                      unsigned num_cpus);
 
-    VgicBank &bank(CpuId cpu) { return banks_.at(cpu); }
+    /** Writable bank (the GICV interface, tests): the list registers
+     *  drive the virtual IRQ line, so this marks every CPU for interrupt
+     *  attention. */
+    VgicBank &bank(CpuId cpu);
     const VgicBank &bank(CpuId cpu) const { return banks_.at(cpu); }
 
     /** Empty-LR bitmask (ELRSR semantics). */

@@ -81,7 +81,7 @@ xferName(Xfer k)
 InvariantEngine::InvariantEngine()
 {
     for (auto &rule : builtinRules())
-        rules_.push_back(std::move(rule));
+        addRule(std::move(rule));
     Facade::instance().join(this);
 }
 
@@ -94,6 +94,11 @@ InvariantEngine::~InvariantEngine()
 void
 InvariantEngine::addRule(std::unique_ptr<InvariantRule> rule)
 {
+    HookMask mask = rule->subscriptions();
+    for (unsigned h = 0; h < kNumHooks; ++h) {
+        if (mask & hookBit(static_cast<Hook>(h)))
+            subscribers_[h].push_back(rule.get());
+    }
     rules_.push_back(std::move(rule));
 }
 
@@ -256,26 +261,28 @@ InvariantEngine::report(const InvariantRule &rule, std::string detail)
 
 template <typename Event>
 void
-InvariantEngine::deliver(void (InvariantRule::*hook)(InvariantEngine &,
+InvariantEngine::deliver(Hook which,
+                         void (InvariantRule::*hook)(InvariantEngine &,
                                                      const Event &),
                          const Event &ev)
 {
     ++events_;
-    for (auto &rule : rules_)
-        (rule.get()->*hook)(*this, ev);
+    for (InvariantRule *rule : subscribers_[static_cast<unsigned>(which)])
+        (rule->*hook)(*this, ev);
 }
 
 void
 InvariantEngine::hypAccess(CpuId cpu, arm::Mode mode, const char *reg)
 {
-    deliver(&InvariantRule::onHypAccess, HypAccessEvent{cpu, mode, reg});
+    deliver(Hook::HypAccess, &InvariantRule::onHypAccess,
+            HypAccessEvent{cpu, mode, reg});
 }
 
 void
 InvariantEngine::modeChange(const void *domain, CpuId cpu, arm::Mode from,
                             arm::Mode to, bool stage2_on)
 {
-    deliver(&InvariantRule::onModeChange,
+    deliver(Hook::ModeChange, &InvariantRule::onModeChange,
             ModeChangeEvent{domain, cpu, from, to, stage2_on});
 }
 
@@ -283,7 +290,7 @@ void
 InvariantEngine::worldSwitchBegin(const void *domain, CpuId cpu,
                                   SwitchDir dir)
 {
-    deliver(&InvariantRule::onWorldSwitch,
+    deliver(Hook::WorldSwitch, &InvariantRule::onWorldSwitch,
             WorldSwitchEvent{domain, cpu, dir, true, nullptr});
 }
 
@@ -291,7 +298,7 @@ void
 InvariantEngine::worldSwitchEnd(const void *domain, CpuId cpu, SwitchDir dir,
                                 const arm::HypState &hyp)
 {
-    deliver(&InvariantRule::onWorldSwitch,
+    deliver(Hook::WorldSwitch, &InvariantRule::onWorldSwitch,
             WorldSwitchEvent{domain, cpu, dir, false, &hyp});
 }
 
@@ -299,7 +306,7 @@ void
 InvariantEngine::stateTransfer(const void *domain, CpuId cpu, StateClass cls,
                                Xfer kind)
 {
-    deliver(&InvariantRule::onStateTransfer,
+    deliver(Hook::StateTransfer, &InvariantRule::onStateTransfer,
             StateTransferEvent{domain, cpu, cls, kind});
 }
 
@@ -307,7 +314,7 @@ void
 InvariantEngine::stage2Map(const void *domain, std::uint16_t vmid, Addr ipa,
                            Addr pa, bool device)
 {
-    deliver(&InvariantRule::onStage2Update,
+    deliver(Hook::Stage2Update, &InvariantRule::onStage2Update,
             Stage2Event{domain, vmid, ipa, pa, device, true});
 }
 
@@ -315,21 +322,21 @@ void
 InvariantEngine::stage2Unmap(const void *domain, std::uint16_t vmid,
                              Addr ipa, Addr pa)
 {
-    deliver(&InvariantRule::onStage2Update,
+    deliver(Hook::Stage2Update, &InvariantRule::onStage2Update,
             Stage2Event{domain, vmid, ipa, pa, false, false});
 }
 
 void
 InvariantEngine::protectPage(const void *domain, Addr pa, const char *tag)
 {
-    deliver(&InvariantRule::onPageGuard,
+    deliver(Hook::PageGuard, &InvariantRule::onPageGuard,
             PageGuardEvent{domain, pa, tag, true});
 }
 
 void
 InvariantEngine::unprotectPage(const void *domain, Addr pa)
 {
-    deliver(&InvariantRule::onPageGuard,
+    deliver(Hook::PageGuard, &InvariantRule::onPageGuard,
             PageGuardEvent{domain, pa, "", false});
 }
 
@@ -337,13 +344,15 @@ void
 InvariantEngine::vgicLrWrite(CpuId cpu, unsigned idx,
                              const arm::VgicBank &bank)
 {
-    deliver(&InvariantRule::onVgicLr, VgicLrEvent{cpu, idx, &bank});
+    deliver(Hook::VgicLr, &InvariantRule::onVgicLr,
+            VgicLrEvent{cpu, idx, &bank});
 }
 
 void
 InvariantEngine::maintenanceIrq(CpuId cpu, const arm::VgicBank &bank)
 {
-    deliver(&InvariantRule::onMaintenance, MaintenanceEvent{cpu, &bank});
+    deliver(Hook::Maintenance, &InvariantRule::onMaintenance,
+            MaintenanceEvent{cpu, &bank});
 }
 
 void
@@ -351,7 +360,7 @@ InvariantEngine::ringDoorbell(const void *domain, CpuId cpu, const char *ring,
                               std::uint64_t seq, Cycles cycle,
                               std::uint32_t availIdx)
 {
-    deliver(&InvariantRule::onRing,
+    deliver(Hook::Ring, &InvariantRule::onRing,
             RingEvent{domain, cpu, ring, true, seq, cycle, availIdx});
 }
 
@@ -360,7 +369,7 @@ InvariantEngine::ringDeliver(const void *domain, CpuId cpu, const char *ring,
                              std::uint64_t seq, Cycles cycle,
                              std::uint32_t usedIdx)
 {
-    deliver(&InvariantRule::onRing,
+    deliver(Hook::Ring, &InvariantRule::onRing,
             RingEvent{domain, cpu, ring, false, seq, cycle, usedIdx});
 }
 

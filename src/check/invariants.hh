@@ -46,6 +46,7 @@
 #ifndef KVMARM_CHECK_INVARIANTS_HH
 #define KVMARM_CHECK_INVARIANTS_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -211,12 +212,38 @@ struct RingEvent
 
 class InvariantEngine;
 
+/** The InvariantRule hooks, one per event kind. */
+enum class Hook : unsigned
+{
+    HypAccess,
+    ModeChange,
+    WorldSwitch,
+    StateTransfer,
+    Stage2Update,
+    PageGuard,
+    VgicLr,
+    Maintenance,
+    Ring,
+};
+inline constexpr unsigned kNumHooks = static_cast<unsigned>(Hook::Ring) + 1;
+
+/** A set of hooks, one bit per Hook. */
+using HookMask = std::uint32_t;
+
+constexpr HookMask
+hookBit(Hook h)
+{
+    return HookMask{1} << static_cast<unsigned>(h);
+}
+
+inline constexpr HookMask kAllHooks = (HookMask{1} << kNumHooks) - 1;
+
 /**
- * One pluggable invariant rule. Override the hooks the rule cares about;
- * report violations through InvariantEngine::report(). Rules keep their
- * own shadow state and must clear it in reset(). Each engine instance
- * owns a private set of rule instances, so one machine's shadow state can
- * never alias another's.
+ * One pluggable invariant rule. Override the hooks the rule cares about
+ * and name them in subscriptions(); report violations through
+ * InvariantEngine::report(). Rules keep their own shadow state and must
+ * clear it in reset(). Each engine instance owns a private set of rule
+ * instances, so one machine's shadow state can never alias another's.
  */
 class InvariantRule
 {
@@ -224,6 +251,12 @@ class InvariantRule
     virtual ~InvariantRule() = default;
 
     virtual const char *name() const = 0;
+
+    /** The hooks this rule overrides. The engine builds its per-event
+     *  rule lists from this at addRule() and calls only those hooks. The
+     *  default subscribes to every hook: a rule that does not declare is
+     *  slower, never blind. */
+    virtual HookMask subscriptions() const { return kAllHooks; }
 
     /** Drop all shadow state (engine reset between test cases). */
     virtual void reset() {}
@@ -363,14 +396,17 @@ class InvariantEngine
     /// @}
 
   private:
-    /** Fan an event out to every rule's @p hook. */
+    /** Fan an event out to @p hook of every rule subscribed to @p which. */
     template <typename Event>
-    void deliver(void (InvariantRule::*hook)(InvariantEngine &,
+    void deliver(Hook which,
+                 void (InvariantRule::*hook)(InvariantEngine &,
                                              const Event &),
                  const Event &ev);
 
     std::atomic<CheckMode> mode_{CheckMode::Off};
     std::vector<std::unique_ptr<InvariantRule>> rules_;
+    /** Per hook, the rules subscribed to it, in registration order. */
+    std::array<std::vector<InvariantRule *>, kNumHooks> subscribers_;
     std::vector<Violation> violations_;
     std::uint64_t events_ = 0;
     /** Epoch counters: live is bumped by every report(); published is the

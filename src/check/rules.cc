@@ -32,6 +32,12 @@ class PrivilegeRule : public InvariantRule
   public:
     const char *name() const override { return "privilege"; }
 
+    HookMask
+    subscriptions() const override
+    {
+        return hookBit(Hook::HypAccess);
+    }
+
     void
     onHypAccess(InvariantEngine &eng, const HypAccessEvent &ev) override
     {
@@ -55,6 +61,12 @@ class WsPairingRule : public InvariantRule
 {
   public:
     const char *name() const override { return "ws-pairing"; }
+
+    HookMask
+    subscriptions() const override
+    {
+        return hookBit(Hook::WorldSwitch) | hookBit(Hook::StateTransfer);
+    }
 
     void reset() override { epochs_.clear(); }
 
@@ -175,6 +187,12 @@ class Stage2IsolationRule : public InvariantRule
   public:
     const char *name() const override { return "stage2-isolation"; }
 
+    HookMask
+    subscriptions() const override
+    {
+        return hookBit(Hook::Stage2Update) | hookBit(Hook::PageGuard);
+    }
+
     void
     reset() override
     {
@@ -252,6 +270,12 @@ class TrapConfigRule : public InvariantRule
 {
   public:
     const char *name() const override { return "trap-config"; }
+
+    HookMask
+    subscriptions() const override
+    {
+        return hookBit(Hook::WorldSwitch) | hookBit(Hook::ModeChange);
+    }
 
     void reset() override { world_.clear(); }
 
@@ -348,6 +372,12 @@ class VgicRule : public InvariantRule
   public:
     const char *name() const override { return "vgic"; }
 
+    HookMask
+    subscriptions() const override
+    {
+        return hookBit(Hook::VgicLr) | hookBit(Hook::Maintenance);
+    }
+
     void
     onVgicLr(InvariantEngine &eng, const VgicLrEvent &ev) override
     {
@@ -400,6 +430,12 @@ class RingOrderRule : public InvariantRule
 {
   public:
     const char *name() const override { return "ring-order"; }
+
+    HookMask
+    subscriptions() const override
+    {
+        return hookBit(Hook::Ring);
+    }
 
     void reset() override { dirs_.clear(); }
 

@@ -8,9 +8,9 @@
  *  - trap-config:      guest entry trap set + Stage-2 enable discipline
  *  - vgic:             list-register uniqueness, genuine maintenance IRQs
  *
- * To add a rule: subclass InvariantRule, override the hooks you need, and
- * either append it in builtinRules() or install it at runtime with
- * InvariantEngine::addRule().
+ * To add a rule: subclass InvariantRule, override the hooks you need, name
+ * them in subscriptions(), and either append it in builtinRules() or
+ * install it at runtime with InvariantEngine::addRule().
  */
 
 #ifndef KVMARM_CHECK_RULES_HH

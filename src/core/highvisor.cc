@@ -36,8 +36,8 @@ Highvisor::handleExit(ArmCpu &cpu, VCpu &vcpu, const Hsr &hsr)
         return;
       case ExcClass::TimerTrap:
         kvm_.vtimer().emulateTrappedAccess(
-            cpu, vcpu, static_cast<arm::TimerAccess>(hsr.iss), hsr.sysWrite,
-            hsr.sysValue, hsr.sysValue64);
+            cpu, vcpu, static_cast<arm::TimerAccess>(hsr.iss), hsr.sysValue,
+            hsr.sysValue64);
         return;
       case ExcClass::Hvc:
         handleHvc(cpu, vcpu, hsr);

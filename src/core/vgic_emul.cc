@@ -86,6 +86,7 @@ VgicDistEmul::restoreState(SnapshotReader &r)
         for (std::uint32_t i = 0; i < nactive; ++i)
             bank.softActive.push_back(r.u32());
     }
+    touch();
 }
 
 Cycles
@@ -101,9 +102,17 @@ VgicDistEmul::lockCost() const
 VgicDistEmul::Cand
 VgicDistEmul::bestCandidate(const VCpu &vcpu) const
 {
+    if (candCache_.size() <= vcpu.index())
+        candCache_.resize(vcpu.index() + 1);
+    CandCache &cache = candCache_[vcpu.index()];
+    if (cache.version == version_)
+        return cache.best;
+
     Cand best;
-    if (!ctlrEnabled_)
+    if (!ctlrEnabled_) {
+        cache = {version_, best};
         return best;
+    }
     const Bank &bank = bankFor(vcpu);
 
     auto consider = [&](IrqId irq, std::uint8_t prio, unsigned src) {
@@ -120,16 +129,15 @@ VgicDistEmul::bestCandidate(const VCpu &vcpu) const
             consider(sgi, bank.priority[sgi], src);
         }
     }
-    for (IrqId ppi = arm::kFirstPpi; ppi < arm::kFirstSpi; ++ppi) {
-        if (bank.ppiPending[ppi] && bank.enabled[ppi])
+    arm::forEachPending(bank.ppiPending, arm::kFirstPpi, [&](IrqId ppi) {
+        if (bank.enabled[ppi])
             consider(ppi, bank.priority[ppi], 0);
-    }
-    for (IrqId spi = arm::kFirstSpi; spi < arm::kMaxIrqs; ++spi) {
-        if (spiPending_[spi] && spiEnabled_[spi] &&
-            (spiTargets_[spi] & (1u << vcpu.index()))) {
+    });
+    arm::forEachPending(spiPending_, arm::kFirstSpi, [&](IrqId spi) {
+        if (spiEnabled_[spi] && (spiTargets_[spi] & (1u << vcpu.index())))
             consider(spi, spiPriority_[spi], 0);
-        }
-    }
+    });
+    cache = {version_, best};
     return best;
 }
 
@@ -144,6 +152,7 @@ VgicDistEmul::consume(VCpu &vcpu, const Cand &c)
         bank.ppiPending[c.irq] = false;
     else
         spiPending_[c.irq] = false;
+    touch();
 }
 
 void
@@ -212,6 +221,7 @@ VgicDistEmul::syncFromShadow(VCpu &vcpu)
             else
                 spiPending_[lr.virq] = true;
             lr = ListReg{};
+            touch();
             break;
           case LrState::Active:
           case LrState::PendingActive:
@@ -266,6 +276,7 @@ VgicDistEmul::injectSpi(ArmCpu &current_cpu, IrqId irq)
         fatal("vgic: injectSpi with bad irq %u", irq);
     current_cpu.compute(lockCost());
     spiPending_[irq] = true;
+    touch();
     unsigned target = routeSpi(irq);
     if (target < vm_.vcpus().size()) {
         VCpu &vcpu = *vm_.vcpus()[target];
@@ -282,6 +293,7 @@ VgicDistEmul::injectPpi(ArmCpu &current_cpu, VCpu &target, IrqId ppi)
         fatal("vgic: injectPpi with bad ppi %u", ppi);
     current_cpu.compute(lockCost());
     bankFor(target).ppiPending[ppi] = true;
+    touch();
     if (!vm_.kvm().config().useVgic)
         updateSoftPending(target);
     kickVcpu(current_cpu, target);
@@ -323,6 +335,7 @@ VgicDistEmul::softEoi(VCpu &vcpu, std::uint32_t value)
         return;
     }
     active.erase(std::next(it).base());
+    touch();
     updateSoftPending(vcpu);
 }
 
@@ -374,6 +387,7 @@ VgicDistEmul::setSgiPending(unsigned target_idx, IrqId sgi,
         banks_.resize(target_idx + 1);
     banks_[target_idx].sgiSources[sgi] |=
         static_cast<std::uint16_t>(1u << source_idx);
+    touch();
 }
 
 std::uint64_t
@@ -386,6 +400,7 @@ VgicDistEmul::handleMmio(ArmCpu &cpu, VCpu &vcpu, Addr offset, bool is_write,
     std::uint32_t v = static_cast<std::uint32_t>(value);
 
     if (is_write) {
+        touch(); // every register write may change what is deliverable
         if (offset == arm::gicd::CTLR) {
             ctlrEnabled_ = v & 1;
             for (auto &vc : vm_.vcpus())

@@ -129,6 +129,24 @@ class VgicDistEmul : public Snapshottable
     /** Best deliverable interrupt for @p vcpu, spurious if none. */
     Cand bestCandidate(const VCpu &vcpu) const;
 
+    /** Note a state change that can alter bestCandidate() results. */
+    void touch() { ++version_; }
+
+    /**
+     * bestCandidate() is a pure function of the software distributor
+     * state, but flushToShadow() asks it once per list register and the
+     * WFI wake predicate polls it on every check. Every mutator calls
+     * touch(); each VCPU caches its last answer with the version it was
+     * computed at, as GicDistributor does for bestPending().
+     */
+    std::uint64_t version_ = 1;
+    struct CandCache
+    {
+        std::uint64_t version = 0; //!< 0 never matches (version_ starts at 1)
+        Cand best;
+    };
+    mutable std::vector<CandCache> candCache_;
+
     /** Remove @p c from the software pending state. */
     void consume(VCpu &vcpu, const Cand &c);
 

@@ -163,8 +163,7 @@ VTimerEmul::onHostVtimerIrq(ArmCpu &cpu, VCpu &vcpu)
 
 void
 VTimerEmul::emulateTrappedAccess(ArmCpu &cpu, VCpu &vcpu, TimerAccess which,
-                                 bool is_write, std::uint32_t ctl,
-                                 std::uint64_t cval)
+                                 std::uint32_t ctl, std::uint64_t cval)
 {
     // Without virtual timer hardware, timer and counter accesses are
     // emulated by the user-space machine model (QEMU) — the cause of the
@@ -182,14 +181,9 @@ VTimerEmul::emulateTrappedAccess(ArmCpu &cpu, VCpu &vcpu, TimerAccess which,
                 kvm_.machine().timer().physCount(cpu.id()) - vcpu.cntvoff);
             return;
           case TimerAccess::VirtTimer: {
-            if (!is_write) {
-                cpu.setTrappedReadValue(
-                    (vcpu.vtimerShadow.enable ? 1u : 0) |
-                    (vcpu.vtimerShadow.imask ? 2u : 0));
-                return;
-            }
-            // Emulated timer reprogram: QEMU keeps the compare value and
-            // arms a host timer that injects the interrupt.
+            // Emulated timer reprogram (the only virtual-timer access that
+            // traps: ArmCpu::writeVirtTimer): QEMU keeps the compare value
+            // and arms a host timer that injects the interrupt.
             vcpu.vtimerShadow.enable = ctl & 1;
             vcpu.vtimerShadow.imask = ctl & 2;
             vcpu.vtimerShadow.cval = cval;

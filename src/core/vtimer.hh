@@ -50,10 +50,11 @@ class VTimerEmul : public Snapshottable
     void onHostVtimerIrq(arm::ArmCpu &cpu, VCpu &vcpu);
 
     /** Emulate a trapped timer/counter access (no-vtimers configuration);
-     *  runs the emulation in user space. */
+     *  runs the emulation in user space. Counter accesses are reads;
+     *  VirtTimer is always a write of @p ctl and @p cval. */
     void emulateTrappedAccess(arm::ArmCpu &cpu, VCpu &vcpu,
-                              arm::TimerAccess which, bool is_write,
-                              std::uint32_t ctl, std::uint64_t cval);
+                              arm::TimerAccess which, std::uint32_t ctl,
+                              std::uint64_t cval);
 
     /// @name Snapshottable (Kvm registers this)
     ///

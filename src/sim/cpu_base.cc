@@ -10,6 +10,8 @@ namespace kvmarm {
 CpuBase::CpuBase(CpuId id, MachineBase &machine) : id_(id), machine_(machine)
 {
     events_.onSchedule = [this](Cycles when) {
+        if (when < attention_)
+            attention_ = when;
         machine_.noteEventScheduled(*this, when);
     };
     machine_.registerSnapshottable(this);
@@ -21,9 +23,8 @@ CpuBase::~CpuBase()
 }
 
 void
-CpuBase::addCycles(Cycles c)
+CpuBase::attend()
 {
-    now_ += c;
     drain();
     if (now_ >= yieldThreshold_ && Fiber::current()) {
         Fiber::yield();
@@ -33,19 +34,17 @@ CpuBase::addCycles(Cycles c)
 }
 
 void
-CpuBase::advanceTo(Cycles t)
-{
-    if (t > now_)
-        now_ = t;
-    drain();
-}
-
-void
 CpuBase::drain()
 {
-    while (events_.runDue(now_)) {
-    }
+    // runDue() also runs what its callbacks schedule at or before now_,
+    // so one call leaves nothing due; the check skips it when nothing is.
+    if (events_.headTime() <= now_)
+        events_.runDue(now_);
     serviceInterrupts();
+    // Nothing left to deliver: the next charge that needs this CPU's
+    // attention is the next event or the yield point, unless a mutator
+    // of interrupt-visible state lowers it first.
+    attention_ = std::min(events_.headTime(), yieldThreshold_);
 }
 
 void
@@ -123,6 +122,7 @@ CpuBase::restoreState(SnapshotReader &r)
     events_.restoreState(r);
     restoreStats(r, stats_);
     yieldThreshold_ = kNoDeadline;
+    needAttention();
     // The restored CPU runs whatever entry the clone installs next; any
     // finished boot fiber from this machine's own past is discarded.
     fiber_.reset();

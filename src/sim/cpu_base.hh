@@ -51,12 +51,28 @@ class CpuBase : public Snapshottable
      * and yielding to the machine scheduler if another CPU has fallen
      * behind. This is the single place simulated time advances while a CPU
      * is executing.
+     *
+     * Until the clock reaches the attention cycle this is an add and one
+     * compare: no event is due, no yield is due, and the interrupt state
+     * is unchanged since drain() last found nothing to deliver. See
+     * needAttention() for what lowers it.
      */
-    void addCycles(Cycles c);
+    void
+    addCycles(Cycles c)
+    {
+        now_ += c;
+        if (now_ < attention_)
+            return;
+        attend();
+    }
 
-    /** Force the clock forward to @p t (idle fast-forward; never goes
-     *  backwards). */
-    void advanceTo(Cycles t);
+    /**
+     * Make the next addCycles() drain: something changed that can alter
+     * what serviceInterrupts() would deliver (interrupt controller state,
+     * CPU mode or mask, the vectors interrupts go to). Every mutator of
+     * interrupt-visible state calls this; DESIGN.md lists the call sites.
+     */
+    void needAttention() { attention_ = 0; }
 
     EventQueue &events() { return events_; }
 
@@ -99,13 +115,20 @@ class CpuBase : public Snapshottable
     bool fiberFinished() const;
     bool waiting() const { return waiting_; }
     void resumeFiber();
-    void setYieldThreshold(Cycles t) { yieldThreshold_ = t; }
+    void
+    setYieldThreshold(Cycles t)
+    {
+        yieldThreshold_ = t;
+        needAttention();
+    }
     /** Pull the yield point earlier (a cross-CPU wake appeared). */
     void
     lowerYieldThreshold(Cycles t)
     {
         if (t < yieldThreshold_)
             yieldThreshold_ = t;
+        if (t < attention_)
+            attention_ = t;
     }
     /** Clock the scheduler should use to order this CPU. */
     Cycles effectiveClock() const;
@@ -121,7 +144,8 @@ class CpuBase : public Snapshottable
     /// @}
 
   protected:
-    /** Run events due at the current clock, then deliver interrupts. */
+    /** Run events due at the current clock, then deliver interrupts, then
+     *  set the attention cycle to the next event or yield point. */
     void drain();
 
     CpuId id_;
@@ -131,6 +155,13 @@ class CpuBase : public Snapshottable
     StatGroup stats_;
 
   private:
+    /** addCycles() slow path: drain, then yield if past the threshold. */
+    void attend();
+
+    /** addCycles() drains once the clock reaches this cycle: the earlier
+     *  of the next event and the yield threshold, or 0 after
+     *  needAttention(). */
+    Cycles attention_ = 0;
     std::function<void()> entry_;
     std::unique_ptr<Fiber> fiber_;
     bool waiting_ = false;

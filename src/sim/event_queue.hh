@@ -73,6 +73,18 @@ class EventQueue
     /** Cycle of the earliest pending event, or kNoDeadline if empty. */
     Cycles nextEventTime() const;
 
+    /**
+     * Cycle of the heap's head, or kNoDeadline if the heap is empty. O(1):
+     * a cancelled head still counts, so this may be earlier than
+     * nextEventTime(), never later. Right after runDue() the two agree,
+     * because runDue() pops cancelled heads.
+     */
+    Cycles
+    headTime() const
+    {
+        return heap_.empty() ? kNoDeadline : heap_.front()->when;
+    }
+
     /** Run every event with time <= @p now. Returns number run. */
     unsigned runDue(Cycles now);
 

@@ -265,6 +265,13 @@ MachineBase::runMulti(Cycles haltAt)
 }
 
 void
+MachineBase::needAttentionAll()
+{
+    for (CpuBase *c : cpusBase_)
+        c->needAttention();
+}
+
+void
 MachineBase::noteEventScheduled(CpuBase &target, Cycles when)
 {
     if (running_ && running_ != &target)

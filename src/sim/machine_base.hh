@@ -78,6 +78,10 @@ class MachineBase
     std::size_t numCpus() const { return cpusBase_.size(); }
     CpuBase &cpuBase(CpuId id) { return *cpusBase_.at(id); }
 
+    /** CpuBase::needAttention() on every CPU: machine-wide interrupt
+     *  state (a distributor, a banked CPU interface) changed. */
+    void needAttentionAll();
+
     /**
      * A new event landed on @p target's queue. If another CPU is
      * currently executing with a stale yield threshold beyond @p when,

@@ -18,11 +18,18 @@ LocalApic::accessLatency() const
     return machine_.cost().apicLatency;
 }
 
+ApicBank &
+LocalApic::bank(CpuId cpu)
+{
+    machine_.cpuBase(cpu).needAttention();
+    return banks_.at(cpu);
+}
+
 void
 LocalApic::postVector(CpuId cpu, std::uint8_t vec, Cycles when)
 {
     machine_.cpuBase(cpu).events().schedule(when, [this, cpu, vec] {
-        ApicBank &b = banks_.at(cpu);
+        ApicBank &b = bank(cpu);
         if (std::find(b.pending.begin(), b.pending.end(), vec) ==
             b.pending.end()) {
             b.pending.push_back(vec);
@@ -46,7 +53,7 @@ LocalApic::pendingVector(CpuId cpu) const
 std::uint8_t
 LocalApic::acceptVector(CpuId cpu)
 {
-    ApicBank &b = banks_.at(cpu);
+    ApicBank &b = bank(cpu);
     std::uint8_t vec = pendingVector(cpu);
     if (!vec)
         return 0;
@@ -58,7 +65,7 @@ LocalApic::acceptVector(CpuId cpu)
 void
 LocalApic::eoi(CpuId cpu)
 {
-    ApicBank &b = banks_.at(cpu);
+    ApicBank &b = bank(cpu);
     if (b.inService.empty()) {
         warn("lapic: EOI with empty ISR on cpu%u", cpu);
         return;

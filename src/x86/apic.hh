@@ -64,7 +64,8 @@ class LocalApic : public MmioDevice
     /** EOI the innermost in-service interrupt. */
     void eoi(CpuId cpu);
 
-    ApicBank &bank(CpuId cpu) { return banks_.at(cpu); }
+    /** Writable bank; marks @p cpu for interrupt attention. */
+    ApicBank &bank(CpuId cpu);
 
     /// @name MmioDevice (native/root-mode access path)
     /// @{

@@ -182,7 +182,7 @@ X86Cpu::syscall(std::uint32_t nr)
     osVectors_->syscall(*this, nr);
     addCycles(machine_.cost().kernelEret);
     userMode_ = true;
-    ifFlag_ = saved_if;
+    setIf(saved_if);
 }
 
 void
@@ -207,6 +207,7 @@ X86Cpu::vmentry()
     userMode_ = vmcs_.guestUserMode;
     ifFlag_ = vmcs_.guestIf;
     nonRoot_ = true;
+    needAttention();
     addCycles(cm.vmentryHw);
 }
 
@@ -229,6 +230,7 @@ X86Cpu::vmexit(const ExitInfo &info)
     osVectors_ = hostOs_;
     userMode_ = hostUserMode_;
     ifFlag_ = hostIf_;
+    needAttention();
     addCycles(cm.vmexitHw);
 
     vmxHandler_->vmexit(*this, info);
@@ -269,12 +271,12 @@ X86Cpu::takeInterrupt(std::uint8_t vector)
     ++interruptsTaken_;
     bool saved_if = ifFlag_;
     bool saved_user = userMode_;
-    ifFlag_ = false;
+    setIf(false);
     userMode_ = false;
     addCycles(machine_.cost().kernelEntry);
     osVectors_->interrupt(*this, vector);
     addCycles(machine_.cost().kernelEret);
-    ifFlag_ = saved_if;
+    setIf(saved_if);
     userMode_ = saved_user;
 }
 

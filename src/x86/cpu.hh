@@ -116,12 +116,30 @@ class X86Cpu : public CpuBase
     bool userMode() const { return userMode_; }
     void setUserMode(bool u) { userMode_ = u; }
     bool interruptsEnabled() const { return ifFlag_; }
-    void setIf(bool v) { ifFlag_ = v; }
-    Vmcs &vmcs() { return vmcs_; }
+    /** Write RFLAGS.IF. Like every write of IF, the VMX mode or the
+     *  injection field, this marks the CPU for interrupt attention. */
+    void
+    setIf(bool v)
+    {
+        ifFlag_ = v;
+        needAttention();
+    }
+    /** Writable VMCS (its injectVector field delivers on entry). */
+    Vmcs &
+    vmcs()
+    {
+        needAttention();
+        return vmcs_;
+    }
     /// @}
 
     void setVmxHandler(VmxHandler *h) { vmxHandler_ = h; }
-    void setOsVectors(X86OsVectors *v) { osVectors_ = v; }
+    void
+    setOsVectors(X86OsVectors *v)
+    {
+        osVectors_ = v;
+        needAttention();
+    }
     X86OsVectors *osVectors() { return osVectors_; }
 
     /// @name Operations issued by simulated software

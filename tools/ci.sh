@@ -3,10 +3,10 @@
 # the static checks. Usable locally (tools/ci.sh) and from the GitHub
 # workflow; each leg can be run alone (tools/ci.sh asan).
 #
-#   release    RelWithDebInfo, default checker mode (Off at runtime)
+#   release    RelWithDebInfo; ctest runs every test and example golden
+#              under KVMARM_CHECK=enforce (tests/CMakeLists.txt)
 #   asan       AddressSanitizer + UBSan, whole test suite
 #   tsan       ThreadSanitizer, fleet executor tests + fleet smoke bench
-#   enforce    release binaries, whole suite under KVMARM_CHECK=enforce
 #   nochecks   KVMARM_INVARIANTS=OFF compile check (hooks compile away)
 #   domlint    full-tree domlint + the fixture corpus (must-fire/must-pass)
 #   lint       domlint + clang-tidy (or strict-GCC fallback) on changed files
@@ -26,13 +26,10 @@ run_suite() { # <build-dir> [env...]
 leg_release() {
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build build-ci-release -j"$JOBS"
+    # The test suite enforces invariants by default, so fleet determinism
+    # and clone bit-identity are checked with every machine's invariant
+    # engine live.
     run_suite build-ci-release
-    # Fleet determinism and clone bit-identity must also hold with every
-    # machine's invariant engine live: per-VM sim cycles are compared
-    # across thread counts (and against snapshot clones) while each engine
-    # checks its own machine.
-    env KVMARM_CHECK=enforce ctest --test-dir build-ci-release \
-        --output-on-failure -R 'FleetDeterminism|FleetClone|FleetStress'
 }
 
 leg_asan() {
@@ -62,14 +59,11 @@ leg_tsan() {
     # The seeded stress schedule under TSan: live submissions, mid-run
     # spawns, ring rendezvous and park/notify all race-checked at up to
     # 8 workers (the suite sweeps 1/2/4/8 internally).
+    # Both ctest runs are under KVMARM_CHECK=enforce (the suite default),
+    # so the per-machine engines' lock-free checked hot path is
+    # race-checked too.
     TSAN_OPTIONS=halt_on_error=1 \
         ctest --test-dir build-ci-tsan --output-on-failure -L stress
-    # Enforce-mode fleet under TSan: the per-machine engines' checked hot
-    # path takes no locks, so this is the proof it is race-free.
-    TSAN_OPTIONS=halt_on_error=1 \
-        env KVMARM_CHECK=enforce ctest --test-dir build-ci-tsan \
-        --output-on-failure -L sanitize-thread \
-        -R 'FleetDeterminism|FleetClone'
     # fleet_tput --smoke sweeps both check modes itself (the *_enforce
     # rows), so one TSan run covers the unchecked and checked hot paths.
     TSAN_OPTIONS=halt_on_error=1 build-ci-tsan/bench/fleet_tput --smoke
@@ -86,12 +80,6 @@ leg_tsan() {
     # the live channel from inside running jobs while other workers steal
     # them — the scheduler-mutation race TSan is here to rule out.
     TSAN_OPTIONS=halt_on_error=1 build-ci-tsan/bench/fleet_pool --smoke
-}
-
-leg_enforce() {
-    cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build build-ci-release -j"$JOBS"
-    run_suite build-ci-release KVMARM_CHECK=enforce
 }
 
 leg_nochecks() {
@@ -151,7 +139,7 @@ leg_format() {
     tools/format.sh --check
 }
 
-legs=${*:-release asan tsan enforce nochecks domlint lint threadsafety format}
+legs=${*:-release asan tsan nochecks domlint lint threadsafety format}
 for leg in $legs; do
     echo "==== ci leg: $leg ===="
     "leg_$leg"
