@@ -18,18 +18,6 @@ ArmCpu::ArmCpu(CpuId id, ArmMachine &machine)
     regs_[CtrlReg::MPIDR] = 0x80000000 | id;
 }
 
-ArmMachine &
-ArmCpu::machine()
-{
-    return armMachine_;
-}
-
-const ArmMachine &
-ArmCpu::machine() const
-{
-    return armMachine_;
-}
-
 void
 ArmCpu::trapToHyp(const Hsr &hsr)
 {
@@ -102,8 +90,8 @@ ArmCpu::takePageFaultToKernel(Addr va, bool write, Access acc)
 }
 
 std::uint64_t
-ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
-                  bool isv)
+ArmCpu::accessMemMiss(Addr va, bool write, std::uint64_t value, unsigned len,
+                      bool isv)
 {
     Access acc = write ? Access::Write : Access::Read;
     for (int attempt = 0; attempt < 16; ++attempt) {
@@ -118,6 +106,7 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
                 panic("cpu%u: external abort at PA %#llx (va %#llx)", id_,
                       static_cast<unsigned long long>(tr.pa), static_cast<unsigned long long>(va));
             }
+            mmu_.resolveTarget();
             addCycles(ba.latency);
             return ba.value;
         }
@@ -145,24 +134,6 @@ ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
         }
     }
     panic("cpu%u: fault livelock at va %#llx", id_, static_cast<unsigned long long>(va));
-}
-
-std::uint64_t
-ArmCpu::memRead(Addr va, unsigned len, bool isv)
-{
-    return accessMem(va, false, 0, len, isv);
-}
-
-void
-ArmCpu::memWrite(Addr va, std::uint64_t value, unsigned len, bool isv)
-{
-    accessMem(va, true, value, len, isv);
-}
-
-void
-ArmCpu::memTouch(Addr va, Access acc)
-{
-    accessMem(va, acc == Access::Write, 0, 4, true);
 }
 
 void

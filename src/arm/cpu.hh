@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "arm/hsr.hh"
 #include "arm/hyp_state.hh"
@@ -42,8 +43,8 @@ class ArmCpu : public CpuBase
 
     ArmCpu(CpuId id, ArmMachine &machine);
 
-    ArmMachine &machine();
-    const ArmMachine &machine() const;
+    ArmMachine &machine() { return armMachine_; }
+    const ArmMachine &machine() const { return armMachine_; }
 
     /// @name Architectural state
     /// @{
@@ -78,7 +79,7 @@ class ArmCpu : public CpuBase
      *  virtualization-extension registers): raises the privilege
      *  invariant hook, which flags any access outside Hyp mode. */
     HypState &
-    hypSys(const char *reg)
+    hypSys([[maybe_unused]] const char *reg)
     {
         KVMARM_CHECK_ON(checkEngine_, hypAccess(id_, mode_, reg));
         needAttention();
@@ -86,6 +87,22 @@ class ArmCpu : public CpuBase
     }
 
     Mmu &mmu() { return mmu_; }
+
+    /** TLB tag of @p va for a translation in @p mode: the regime, plus
+     *  the VMID while Stage-2 is on and the ASID while Stage-1 is on. */
+    TlbKey
+    tlbKey(Addr va, Mode mode) const
+    {
+        if (mode == Mode::Hyp)
+            return {.regime = TlbRegime::Hyp, .vpage = pageAlignDown(va)};
+        bool s1_on = regs_[CtrlReg::SCTLR] & 1;
+        bool s2_on = hyp_.hcr.vm;
+        return {.regime = TlbRegime::Pl0Pl1,
+                .vmid = s2_on ? static_cast<std::uint8_t>(hyp_.vmid())
+                              : std::uint8_t{0},
+                .asid = s1_on ? regs_[CtrlReg::CONTEXTIDR] : 0,
+                .vpage = pageAlignDown(va)};
+    }
 
     bool irqMasked() const { return irqMasked_; }
     /** Write CPSR.I. Every write of the mask goes through here. */
@@ -119,14 +136,25 @@ class ArmCpu : public CpuBase
      *  completed by MMIO emulation), Stage-1 faults go to the current
      *  kernel. @p isv models whether the instruction populates the MMIO
      *  syndrome (paper §4). */
-    std::uint64_t memRead(Addr va, unsigned len = 4, bool isv = true);
+    std::uint64_t
+    memRead(Addr va, unsigned len = 4, bool isv = true)
+    {
+        return accessMem(va, false, 0, len, isv);
+    }
 
     /** Store through the MMU (same fault behaviour as memRead). */
-    void memWrite(Addr va, std::uint64_t value, unsigned len = 4,
-                  bool isv = true);
+    void
+    memWrite(Addr va, std::uint64_t value, unsigned len = 4, bool isv = true)
+    {
+        accessMem(va, true, value, len, isv);
+    }
 
     /** Touch @p va (translate + fault handling) without data movement. */
-    void memTouch(Addr va, Access acc);
+    void
+    memTouch(Addr va, Access acc)
+    {
+        accessMem(va, acc == Access::Write, 0, 4, true);
+    }
 
     /** Supervisor call from user mode into the current kernel. */
     void svc(std::uint32_t num);
@@ -227,6 +255,8 @@ class ArmCpu : public CpuBase
     bool takePageFaultToKernel(Addr va, bool write, Access acc);
     std::uint64_t accessMem(Addr va, bool write, std::uint64_t value,
                             unsigned len, bool isv);
+    std::uint64_t accessMemMiss(Addr va, bool write, std::uint64_t value,
+                                unsigned len, bool isv);
 
     ArmMachine &armMachine_;
     /** The owning machine's invariant engine (null when the check layer is
@@ -260,6 +290,44 @@ class ArmCpu : public CpuBase
     Mode hypTrappedMode_ = Mode::Svc;
     bool hypTrappedMask_ = false;
 };
+
+/**
+ * A load or store. On a hit it costs one compare and a copy: the MMU's
+ * access slot for the page holds a translation the TLB still holds and
+ * the page's host target, so the access counts its TLB hit, moves the
+ * bytes (or calls the device) and charges the bus latency, exactly as the
+ * translate-then-bus path below it would. Everything else (a miss, a
+ * fault, a store to a page still shared with a snapshot image, Hyp mode
+ * with its MMU off) takes accessMemMiss().
+ */
+inline std::uint64_t
+ArmCpu::accessMem(Addr va, bool write, std::uint64_t value, unsigned len,
+                  bool isv)
+{
+    if (mode_ != Mode::Hyp || hyp_.hsctlrM) {
+        if (const HostTarget *t = mmu_.hitTarget(
+                tlbKey(va, mode_), va, len, write, mode_ == Mode::Usr)) {
+            mmu_.tlb().countHit();
+            const Addr off = va & (kPageSize - 1);
+            Cycles latency = Bus::kRamLatency;
+            if (t->dev) {
+                if (write)
+                    t->dev->write(id_, t->devOffset + off, value, len);
+                else
+                    value = t->dev->read(id_, t->devOffset + off, len);
+                latency = t->dev->accessLatency();
+            } else if (write) {
+                std::memcpy(t->write + off, &value, len);
+            } else {
+                value = 0;
+                std::memcpy(&value, t->read + off, len);
+            }
+            addCycles(latency);
+            return write ? 0 : value;
+        }
+    }
+    return accessMemMiss(va, write, value, len, isv);
+}
 
 } // namespace kvmarm::arm
 

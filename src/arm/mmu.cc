@@ -50,27 +50,68 @@ checkS2Perms(const Perms &p, Access acc)
 
 } // namespace
 
-Mmu::Mmu(ArmCpu &cpu) : cpu_(cpu)
+Mmu::Mmu(ArmCpu &cpu) : cpu_(cpu), ram_(cpu.machine().ram())
 {
+}
+
+Mmu::MicroTlbEntry &
+Mmu::micro(const TlbKey &key, Access acc)
+{
+    return acc == Access::Exec ? microCode_ : access_[slotIndex(key)].micro;
 }
 
 const TlbEntry *
 Mmu::microLookup(const TlbKey &key, Access acc)
 {
-    MicroTlbEntry &m = acc == Access::Exec ? microCode_ : microData_;
+    MicroTlbEntry &m = micro(key, acc);
     if (m.valid && m.epoch == tlb_.epoch() && m.key == key)
         return &m.entry;
     return nullptr;
 }
 
 void
+Mmu::microHit(const TlbKey &key, Access acc)
+{
+    if (acc != Access::Exec)
+        lastData_ = &access_[slotIndex(key)];
+}
+
+void
 Mmu::microFill(const TlbKey &key, const TlbEntry &entry, Access acc)
 {
-    MicroTlbEntry &m = acc == Access::Exec ? microCode_ : microData_;
+    MicroTlbEntry &m = micro(key, acc);
     m.key = key;
     m.entry = entry;
     m.epoch = tlb_.epoch();
     m.valid = true;
+    if (acc != Access::Exec) {
+        lastData_ = &access_[slotIndex(key)];
+        lastData_->memGen = 0; // the old target may be another page's
+    }
+}
+
+void
+Mmu::resolveTarget()
+{
+    AccessSlot &s = *lastData_;
+    if (!s.micro.valid || s.micro.epoch != tlb_.epoch() ||
+        s.memGen == ram_.generation())
+        return;
+    s.target = cpu_.machine().bus().target(s.micro.entry.ppage);
+    s.memGen = ram_.generation();
+    const TlbEntry &e = s.micro.entry;
+    s.allow = 0;
+    for (bool user : {false, true}) {
+        for (Access acc : {Access::Read, Access::Write}) {
+            const bool write = acc == Access::Write;
+            const bool host = s.target.dev || (write ? s.target.write != nullptr
+                                                     : s.target.read != nullptr);
+            if (host &&
+                checkS1Perms(e.s1Perms, acc, user ? Mode::Usr : Mode::Svc) &&
+                (!e.hasStage2 || checkS2Perms(e.s2Perms, acc)))
+                s.allow |= allowBit(write, user);
+        }
+    }
 }
 
 TranslateResult
@@ -115,15 +156,6 @@ Mmu::walkStage2(Addr ipa, Access acc, Cycles &cost)
 }
 
 TranslateResult
-Mmu::stage2Translate(Addr ipa, Access acc)
-{
-    Cycles cost = 0;
-    TranslateResult r = walkStage2(ipa, acc, cost);
-    r.cost = cost;
-    return r;
-}
-
-TranslateResult
 Mmu::translateHyp(Addr va, Access acc)
 {
     TranslateResult res;
@@ -137,13 +169,14 @@ Mmu::translateHyp(Addr va, Access acc)
         return res;
     }
 
-    TlbKey key{TlbRegime::Hyp, 0, 0, pageAlignDown(va)};
+    const TlbKey key = cpu_.tlbKey(va, Mode::Hyp);
     if (const TlbEntry *e = microLookup(key, acc)) {
-        // Fast path: same page as the last Hyp access of this kind. Taken
-        // only when the access succeeds; permission problems fall through
-        // to the full lookup for precise fault reporting.
+        // Fast path: the micro entry holds this page. Taken only when the
+        // access succeeds; permission problems fall through to the full
+        // lookup for precise fault reporting.
         if (checkS1Perms(e->s1Perms, acc, Mode::Hyp)) {
             tlb_.countHit();
+            microHit(key, acc);
             res.ok = true;
             res.pa = e->ppage | (va & (kPageSize - 1));
             res.device = e->device;
@@ -215,19 +248,17 @@ Mmu::translate(Addr va, Access acc, Mode mode)
     bool s1_on = regs[CtrlReg::SCTLR] & 1;
     // Read through the const view: the non-const hyp() is for writers and
     // marks the CPU as needing interrupt attention.
-    const HypState &hyp = std::as_const(cpu_).hyp();
-    bool s2_on = hyp.hcr.vm;
-    std::uint8_t vmid = s2_on ? std::uint8_t(hyp.vmid()) : 0;
-    std::uint32_t asid = s1_on ? regs[CtrlReg::CONTEXTIDR] : 0;
+    bool s2_on = std::as_const(cpu_).hyp().hcr.vm;
 
-    TlbKey key{TlbRegime::Pl0Pl1, vmid, asid, pageAlignDown(va)};
+    const TlbKey key = cpu_.tlbKey(va, mode);
     if (const TlbEntry *e = microLookup(key, acc)) {
-        // Fast path: same page as the last access of this kind. Taken only
-        // when the access fully succeeds; permission problems fall through
-        // to the full lookup/walk for precise fault reporting.
+        // Fast path: the micro entry holds this page. Taken only when the
+        // access fully succeeds; permission problems fall through to the
+        // full lookup/walk for precise fault reporting.
         if (checkS1Perms(e->s1Perms, acc, mode) &&
             (!e->hasStage2 || checkS2Perms(e->s2Perms, acc))) {
             tlb_.countHit();
+            microHit(key, acc);
             res.ok = true;
             res.pa = e->ppage | (va & (kPageSize - 1));
             res.device = e->device;

@@ -111,57 +111,6 @@ decodeLeaf(std::uint64_t d, PtFormat fmt, Perms &out)
     return FaultType::None;
 }
 
-WalkResult
-walkTable(Addr root, Addr va, PtFormat fmt,
-          const std::function<std::optional<std::uint64_t>(Addr)> &reader)
-{
-    WalkResult res;
-    Addr table = root;
-
-    for (int level = 1; level <= 3; ++level) {
-        res.level = level;
-        Addr entry_pa = table + ptIndex(va, level) * 8;
-        std::optional<std::uint64_t> d = reader(entry_pa);
-        ++res.tableReads;
-        if (!d) {
-            res.fault = FaultType::Bus;
-            return res;
-        }
-        if (!(*d & desc::kValid)) {
-            res.fault = FaultType::Translation;
-            return res;
-        }
-        bool is_table = *d & desc::kTable;
-        if (level == 2 && !is_table) {
-            // 2 MiB block leaf.
-            res.fault = decodeLeaf(*d, fmt, res.perms);
-            if (res.fault != FaultType::None)
-                return res;
-            res.pa = (*d & desc::kAddrMask & ~(kBlock2MSize - 1)) |
-                     (va & (kBlock2MSize - 1));
-            return res;
-        }
-        if (level == 3) {
-            if (!is_table) {
-                res.fault = FaultType::BadFormat;
-                return res;
-            }
-            res.fault = decodeLeaf(*d, fmt, res.perms);
-            if (res.fault != FaultType::None)
-                return res;
-            res.pa = (*d & desc::kAddrMask) | (va & (kPageSize - 1));
-            return res;
-        }
-        if (!is_table) {
-            // Blocks at L1 are not modelled.
-            res.fault = FaultType::BadFormat;
-            return res;
-        }
-        table = *d & desc::kAddrMask;
-    }
-    panic("walkTable: fell off the walk");
-}
-
 PageTableEditor::PageTableEditor(PtFormat fmt, Reader r, Writer w,
                                  PageAlloc alloc)
     : fmt_(fmt), read_(std::move(r)), write_(std::move(w)),

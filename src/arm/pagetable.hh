@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace kvmarm::arm {
@@ -101,17 +102,71 @@ std::uint64_t encodeLeaf(Addr pa, const Perms &p, PtFormat fmt);
 /** Decode a leaf's permissions; returns BadFormat/AccessFlag violations. */
 FaultType decodeLeaf(std::uint64_t d, PtFormat fmt, Perms &out);
 
+/** Index of @p va at walk level @p level (1-3). */
+unsigned ptIndex(Addr va, int level);
+
+inline constexpr Addr kBlock2MSize = 2 * kMiB;
+
 /**
  * Walk a three-level table rooted at @p root translating @p va.
  *
- * @param reader Fetches a 64-bit descriptor at a table physical address;
- *        returns std::nullopt to abort the walk (nested Stage-2 fault or
- *        bus error) — the result then reports FaultType::Bus at the
- *        current level and the caller reconstructs the real cause.
+ * @param reader Called as `std::optional<std::uint64_t>(Addr table_pa)`:
+ *        fetches a 64-bit descriptor at a table physical address; returns
+ *        std::nullopt to abort the walk (nested Stage-2 fault or bus
+ *        error) — the result then reports FaultType::Bus at the current
+ *        level and the caller reconstructs the real cause. A template
+ *        parameter, so a capturing lambda costs no allocation per walk.
  */
-WalkResult walkTable(
-    Addr root, Addr va, PtFormat fmt,
-    const std::function<std::optional<std::uint64_t>(Addr)> &reader);
+template <typename Reader>
+WalkResult
+walkTable(Addr root, Addr va, PtFormat fmt, Reader &&reader)
+{
+    WalkResult res;
+    Addr table = root;
+
+    for (int level = 1; level <= 3; ++level) {
+        res.level = level;
+        Addr entry_pa = table + ptIndex(va, level) * 8;
+        std::optional<std::uint64_t> d = reader(entry_pa);
+        ++res.tableReads;
+        if (!d) {
+            res.fault = FaultType::Bus;
+            return res;
+        }
+        if (!(*d & desc::kValid)) {
+            res.fault = FaultType::Translation;
+            return res;
+        }
+        bool is_table = *d & desc::kTable;
+        if (level == 2 && !is_table) {
+            // 2 MiB block leaf.
+            res.fault = decodeLeaf(*d, fmt, res.perms);
+            if (res.fault != FaultType::None)
+                return res;
+            res.pa = (*d & desc::kAddrMask & ~(kBlock2MSize - 1)) |
+                     (va & (kBlock2MSize - 1));
+            return res;
+        }
+        if (level == 3) {
+            if (!is_table) {
+                res.fault = FaultType::BadFormat;
+                return res;
+            }
+            res.fault = decodeLeaf(*d, fmt, res.perms);
+            if (res.fault != FaultType::None)
+                return res;
+            res.pa = (*d & desc::kAddrMask) | (va & (kPageSize - 1));
+            return res;
+        }
+        if (!is_table) {
+            // Blocks at L1 are not modelled.
+            res.fault = FaultType::BadFormat;
+            return res;
+        }
+        table = *d & desc::kAddrMask;
+    }
+    panic("walkTable: fell off the walk");
+}
 
 /**
  * Builds and edits page tables through read/write/alloc callbacks, so the
@@ -152,11 +207,6 @@ class PageTableEditor
     Writer write_;
     PageAlloc alloc_;
 };
-
-/** Index of @p va at walk level @p level (1-3). */
-unsigned ptIndex(Addr va, int level);
-
-inline constexpr Addr kBlock2MSize = 2 * kMiB;
 
 } // namespace kvmarm::arm
 

@@ -33,10 +33,13 @@ enum class TlbRegime : std::uint8_t
 
 struct TlbKey
 {
-    TlbRegime regime;
-    std::uint8_t vmid;
-    std::uint32_t asid;
-    Addr vpage;
+    TlbRegime regime = TlbRegime::Pl0Pl1;
+    std::uint8_t vmid = 0;
+    /** Spelled out so every byte of a key is defined: keys are copied
+     *  into TLB slots that snapshots serialize verbatim. */
+    std::uint16_t reserved = 0;
+    std::uint32_t asid = 0;
+    Addr vpage = 0;
 
     bool operator==(const TlbKey &) const = default;
 };

@@ -36,8 +36,10 @@ VgicHypInterface::VgicHypInterface(ArmMachine &machine, GicDistributor &dist,
 VgicBank &
 VgicHypInterface::bank(CpuId cpu)
 {
-    machine_.needAttentionAll();
-    return banks_.at(cpu);
+    // A bank drives only its own CPU's virtual IRQ line.
+    VgicBank &b = banks_.at(cpu);
+    machine_.cpuBase(cpu).needAttention();
+    return b;
 }
 
 Cycles
@@ -128,7 +130,8 @@ VgicHypInterface::write(CpuId cpu, Addr offset, std::uint64_t value,
     (void)len;
     VgicBank &b = banks_.at(cpu);
     std::uint32_t v = static_cast<std::uint32_t>(value);
-    machine_.needAttentionAll();
+    // The bank is per-CPU: only this CPU's virtual IRQ line can change.
+    machine_.cpuBase(cpu).needAttention();
     switch (offset) {
       case gich::HCR:
         b.en = v & 1;

@@ -103,8 +103,8 @@ class VgicHypInterface : public MmioDevice, public Snapshottable
                      unsigned num_cpus);
 
     /** Writable bank (the GICV interface, tests): the list registers
-     *  drive the virtual IRQ line, so this marks every CPU for interrupt
-     *  attention. */
+     *  drive @p cpu's virtual IRQ line, so this marks that CPU for
+     *  interrupt attention. */
     VgicBank &bank(CpuId cpu);
     const VgicBank &bank(CpuId cpu) const { return banks_.at(cpu); }
 

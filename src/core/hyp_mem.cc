@@ -82,7 +82,7 @@ HypMem::restoreState(SnapshotReader &r)
     // Retract whatever tables this instance built (none, on a clone) from
     // the invariant engine, then declare the restored set. No Mm refcount
     // traffic here: Mm's own restore carries the allocator state.
-    for (Addr pa : pages_)
+    for ([[maybe_unused]] Addr pa : pages_)
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
     pages_.clear();
 

@@ -144,11 +144,11 @@ Stage2Mmu::restoreState(SnapshotReader &r)
         // domlint: allow(unordered-iter) — snapshot is sorted below before any order-dependent use
         ramPages_.begin(), ramPages_.end());
     std::sort(current.begin(), current.end());
-    for (const auto &[ipa, pa] : current)
+    for ([[maybe_unused]] const auto &[ipa, pa] : current)
         KVMARM_CHECK_ON(mm_.checkEngine(),
                         stage2Unmap(&mm_, vmid_, ipa, pa));
     ramPages_.clear();
-    for (Addr pa : tablePages_)
+    for ([[maybe_unused]] Addr pa : tablePages_)
         KVMARM_CHECK_ON(mm_.checkEngine(), unprotectPage(&mm_, pa));
     tablePages_.clear();
 

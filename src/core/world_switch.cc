@@ -23,7 +23,8 @@ WorldSwitch::WorldSwitch(Kvm &kvm)
 void
 WorldSwitch::switchFpuToVm(ArmCpu &cpu, VCpu &vcpu)
 {
-    check::InvariantEngine *const ck = cpu.machine().checkEngine();
+    [[maybe_unused]] check::InvariantEngine *const ck =
+        cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     FpuPark &park = hostFpu_.at(cpu.id());
     park.vfp = cpu.regs().vfp;
@@ -43,7 +44,8 @@ WorldSwitch::switchFpuToVm(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::switchFpuToHost(ArmCpu &cpu, VCpu &vcpu)
 {
-    check::InvariantEngine *const ck = cpu.machine().checkEngine();
+    [[maybe_unused]] check::InvariantEngine *const ck =
+        cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     FpuPark &park = hostFpu_.at(cpu.id());
     vcpu.regs.vfp = cpu.regs().vfp;
@@ -63,7 +65,8 @@ WorldSwitch::switchFpuToHost(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::restoreVgic(ArmCpu &cpu, VCpu &vcpu)
 {
-    check::InvariantEngine *const ck = cpu.machine().checkEngine();
+    [[maybe_unused]] check::InvariantEngine *const ck =
+        cpu.machine().checkEngine();
     const KvmConfig &cfg = kvm_.config();
     const Addr gich = ArmMachine::kGichBase;
     arm::VgicBank &sh = vcpu.vgicShadow;
@@ -112,7 +115,8 @@ WorldSwitch::restoreVgic(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::saveVgic(ArmCpu &cpu, VCpu &vcpu)
 {
-    check::InvariantEngine *const ck = cpu.machine().checkEngine();
+    [[maybe_unused]] check::InvariantEngine *const ck =
+        cpu.machine().checkEngine();
     const KvmConfig &cfg = kvm_.config();
     const Addr gich = ArmMachine::kGichBase;
     arm::VgicBank &sh = vcpu.vgicShadow;
@@ -159,7 +163,8 @@ WorldSwitch::saveVgic(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::toVm(ArmCpu &cpu, VCpu &vcpu)
 {
-    check::InvariantEngine *const ck = cpu.machine().checkEngine();
+    [[maybe_unused]] check::InvariantEngine *const ck =
+        cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     const KvmConfig &cfg = kvm_.config();
     HostContext &host = hostCtx_.at(cpu.id());
@@ -258,7 +263,8 @@ WorldSwitch::toVm(ArmCpu &cpu, VCpu &vcpu)
 void
 WorldSwitch::toHost(ArmCpu &cpu, VCpu &vcpu)
 {
-    check::InvariantEngine *const ck = cpu.machine().checkEngine();
+    [[maybe_unused]] check::InvariantEngine *const ck =
+        cpu.machine().checkEngine();
     const auto &cm = cpu.machine().cost();
     const KvmConfig &cfg = kvm_.config();
     HostContext &host = hostCtx_.at(cpu.id());

@@ -24,12 +24,7 @@ Bus::addDevice(Addr base, Addr size, MmioDevice *dev)
         [](Addr b, const Region &r) { return b < r.base; });
     regions_.insert(pos, {base, size, dev});
     lastRegion_.clear(); // insertion moved the Region objects
-}
-
-bool
-Bus::isRam(Addr pa, unsigned len) const
-{
-    return ram_.contains(pa, len);
+    ram_.bumpGeneration(); // CPUs drop the host targets they resolved
 }
 
 const Bus::Region *
@@ -80,11 +75,26 @@ Bus::regionBase(const MmioDevice *dev) const
     return std::nullopt;
 }
 
+HostTarget
+Bus::target(Addr frame)
+{
+    HostTarget t;
+    if (ram_.contains(frame, kPageSize)) {
+        t.read = ram_.pageBytes(frame);
+        t.write = ram_.privatePageBytes(frame);
+    } else if (const Region *r = regionAt(frame);
+               r && frame + kPageSize - r->base <= r->size) {
+        t.dev = r->dev;
+        t.devOffset = frame - r->base;
+    }
+    return t;
+}
+
 BusAccess
 Bus::read(CpuId cpu, Addr pa, unsigned len)
 {
-    if (isRam(pa, len))
-        return {ram_.read(pa, len), kRamLatency, true};
+    if (std::optional<std::uint64_t> v = ram_.tryRead(pa, len))
+        return {*v, kRamLatency, true};
     if (const Region *r = regionFor(cpu, pa)) {
         std::uint64_t v = r->dev->read(cpu, pa - r->base, len);
         return {v, r->dev->accessLatency(), true};
@@ -95,10 +105,8 @@ Bus::read(CpuId cpu, Addr pa, unsigned len)
 BusAccess
 Bus::write(CpuId cpu, Addr pa, std::uint64_t value, unsigned len)
 {
-    if (isRam(pa, len)) {
-        ram_.write(pa, value, len);
+    if (ram_.tryWrite(pa, value, len))
         return {0, kRamLatency, true};
-    }
     if (const Region *r = regionFor(cpu, pa)) {
         r->dev->write(cpu, pa - r->base, value, len);
         return {0, r->dev->accessLatency(), true};

@@ -50,6 +50,19 @@ class MmioDevice
     virtual Cycles accessLatency() const { return 50; }
 };
 
+/**
+ * Where accesses to one physical page land on this host, resolved once by
+ * Bus::target() so a CPU can serve later accesses to the page without
+ * decoding them again. Valid only while PhysMem::generation() is unchanged.
+ */
+struct HostTarget
+{
+    const std::uint8_t *read = nullptr; //!< RAM page: its bytes
+    std::uint8_t *write = nullptr;      //!< RAM page private to this machine
+    MmioDevice *dev = nullptr;          //!< device page: the device
+    Addr devOffset = 0;                 //!< the page's offset in dev's region
+};
+
 /** Result of a bus access: the value read (for loads) plus cycles charged. */
 struct BusAccess
 {
@@ -70,14 +83,15 @@ class Bus
      */
     void addDevice(Addr base, Addr size, MmioDevice *dev);
 
-    /** True if @p pa is backed by RAM. */
-    bool isRam(Addr pa, unsigned len = 1) const;
-
     /** Device covering @p pa, or nullptr. */
     MmioDevice *deviceAt(Addr pa) const;
 
     /** Base address of the region owned by @p dev, if registered. */
     std::optional<Addr> regionBase(const MmioDevice *dev) const;
+
+    /** Host target of the page at @p frame: RAM bytes, or the device
+     *  whose region covers the whole page; empty for anything else. */
+    HostTarget target(Addr frame);
 
     /** Perform a physical read. */
     BusAccess read(CpuId cpu, Addr pa, unsigned len);

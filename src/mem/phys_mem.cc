@@ -8,6 +8,13 @@
 
 namespace kvmarm {
 
+namespace {
+
+/** What pageBytes() serves for a frame nothing has written. */
+const std::array<std::uint8_t, kPageSize> kZeroPage{};
+
+} // namespace
+
 PhysMem::PhysMem(Addr base, Addr size) : base_(base), size_(size)
 {
     if (!isPageAligned(base) || !isPageAligned(size) || size == 0)
@@ -24,7 +31,13 @@ void
 PhysMem::checkRange(Addr pa, Addr len) const
 {
     if (!contains(pa, static_cast<unsigned>(len)))
-        panic("PhysMem: access [%#llx,+%llu) outside RAM [%#llx,+%llu)",
+        outOfRange(pa, len);
+}
+
+void
+PhysMem::outOfRange(Addr pa, Addr len) const
+{
+    panic("PhysMem: access [%#llx,+%llu) outside RAM [%#llx,+%llu)",
               static_cast<unsigned long long>(pa), static_cast<unsigned long long>(len),
               static_cast<unsigned long long>(base_), static_cast<unsigned long long>(size_));
 }
@@ -58,6 +71,7 @@ PhysMem::pageFor(Addr pa)
     auto &slot = pages_[frame];
     if (!slot) {
         slot = std::make_unique<Page>();
+        ++generation_; // the frame moved off the image or zero page
         const Page *shared = nullptr;
         if (image_) {
             auto it = image_->pages.find(frame);
@@ -86,8 +100,10 @@ PhysMem::pageForZero(Addr pa)
     if (frame == cachedFrame_)
         return *cachedPage_;
     auto &slot = pages_[frame];
-    if (!slot)
+    if (!slot) {
         slot = std::make_unique<Page>();
+        ++generation_;
+    }
     cachePrivate(frame, slot.get());
     return *slot;
 }
@@ -118,7 +134,23 @@ PhysMem::pageForRead(Addr pa) const
 std::uint64_t
 PhysMem::read(Addr pa, unsigned len) const
 {
-    checkRange(pa, len);
+    if (std::optional<std::uint64_t> v = tryRead(pa, len))
+        return *v;
+    outOfRange(pa, len);
+}
+
+void
+PhysMem::write(Addr pa, std::uint64_t value, unsigned len)
+{
+    if (!tryWrite(pa, value, len))
+        outOfRange(pa, len);
+}
+
+std::optional<std::uint64_t>
+PhysMem::tryRead(Addr pa, unsigned len) const
+{
+    if (!contains(pa, len))
+        return std::nullopt;
     std::uint64_t v = 0;
     if ((pa & (len - 1)) == 0) {
         // Naturally aligned: cannot cross a page, skip the block loop.
@@ -130,15 +162,31 @@ PhysMem::read(Addr pa, unsigned len) const
     return v;
 }
 
-void
-PhysMem::write(Addr pa, std::uint64_t value, unsigned len)
+bool
+PhysMem::tryWrite(Addr pa, std::uint64_t value, unsigned len)
 {
-    checkRange(pa, len);
+    if (!contains(pa, len))
+        return false;
     if ((pa & (len - 1)) == 0) {
         std::memcpy(pageFor(pa).data() + (pa & (kPageSize - 1)), &value, len);
-        return;
+        return true;
     }
     writeBlock(pa, &value, len);
+    return true;
+}
+
+const std::uint8_t *
+PhysMem::pageBytes(Addr frame) const
+{
+    const Page *pg = pageForRead(frame);
+    return pg ? pg->data() : kZeroPage.data();
+}
+
+std::uint8_t *
+PhysMem::privatePageBytes(Addr frame)
+{
+    auto it = pages_.find(frame);
+    return it == pages_.end() ? nullptr : it->second->data();
 }
 
 void
@@ -222,6 +270,7 @@ PhysMem::saveState(SnapshotWriter &w)
     pages_.clear();
     image_ = img;
     invalidateCaches();
+    ++generation_;
 
     w.u64(base_);
     w.u64(size_);
@@ -251,6 +300,7 @@ PhysMem::restoreState(SnapshotReader &r)
     // scribbles from its own construction) is superseded by the image.
     pages_.clear();
     invalidateCaches();
+    ++generation_;
 }
 
 } // namespace kvmarm

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "sim/snapshot.hh"
@@ -53,6 +54,13 @@ class PhysMem : public Snapshottable
     /** Write the low @p len bytes of @p value at @p pa. */
     void write(Addr pa, std::uint64_t value, unsigned len);
 
+    /** read() for an address that may not be RAM: std::nullopt when
+     *  [pa, pa+len) is not, so the bus decodes RAM with one range check. */
+    std::optional<std::uint64_t> tryRead(Addr pa, unsigned len) const;
+
+    /** write() for an address that may not be RAM; false when it is not. */
+    bool tryWrite(Addr pa, std::uint64_t value, unsigned len);
+
     /** Bulk copy out of RAM. */
     void readBlock(Addr pa, void *dst, Addr len) const;
 
@@ -64,6 +72,30 @@ class PhysMem : public Snapshottable
 
     /** Number of distinct pages materialized (private + shared-only). */
     std::size_t touchedPages() const;
+
+    /// @name Host pages (CPU access caches)
+    ///
+    /// A CPU that caches where a guest page lives on the host reads its
+    /// bytes through pageBytes() and stores through privatePageBytes().
+    /// Both pointers stay good while generation() is unchanged.
+    /// @{
+    /** Bytes of the RAM page @p frame: the private page, else the shared
+     *  snapshot image page, else a page of zeros (never written). */
+    const std::uint8_t *pageBytes(Addr frame) const;
+    /** Bytes of @p frame when it is private to this machine, else null: a
+     *  store to a shared or unmaterialized page must take write(). */
+    std::uint8_t *privatePageBytes(Addr frame);
+
+    /**
+     * Moves whenever a pointer from pageBytes()/privatePageBytes() may be
+     * stale or a page's host location changes: a page materializes (first
+     * write, COW fault, zeroPage into a new slot), a snapshot is saved or
+     * restored, or the bus map changes (bumpGeneration). Never
+     * serialized; only increases.
+     */
+    std::uint64_t generation() const { return generation_; }
+    void bumpGeneration() { ++generation_; }
+    /// @}
 
     /// @name COW introspection
     /// @{
@@ -101,6 +133,7 @@ class PhysMem : public Snapshottable
     Page &pageForZero(Addr pa);
     const Page *pageForRead(Addr pa) const;
     void checkRange(Addr pa, Addr len) const;
+    [[noreturn]] void outOfRange(Addr pa, Addr len) const;
     void cachePrivate(Addr frame, Page *pg) const;
     void invalidateCaches() const;
 
@@ -113,6 +146,7 @@ class PhysMem : public Snapshottable
     std::shared_ptr<const SnapshotImage> image_;
 
     std::uint64_t cowFaults_ = 0;
+    std::uint64_t generation_ = 1;
 
     /**
      * Last pages touched: accesses cluster heavily (code fetch, stack, the

@@ -11,7 +11,7 @@ TlbKey
 key(std::uint8_t vmid, std::uint32_t asid, Addr vpage,
     TlbRegime regime = TlbRegime::Pl0Pl1)
 {
-    return TlbKey{regime, vmid, asid, vpage};
+    return {.regime = regime, .vmid = vmid, .asid = asid, .vpage = vpage};
 }
 
 TEST(Tlb, HitAfterInsert)
