@@ -50,14 +50,17 @@ class ArmCpu : public CpuBase
     /// @{
     Mode mode() const { return mode_; }
     /** Set the current mode; legal only for PL1/PL2 software models and
-     *  the world switch. */
+     *  the world switch. Entering Hyp (every trap) does not mark the CPU
+     *  for attention: nothing is deliverable there, and the ERET's
+     *  setMode back out marks it. */
     void
     setMode(Mode m)
     {
         KVMARM_CHECK_ON(checkEngine_,
                         modeChange(&armMachine_, id_, mode_, m, hyp_.hcr.vm));
         mode_ = m;
-        needAttention();
+        if (m != Mode::Hyp)
+            needAttention();
     }
 
     RegisterFile &regs() { return regs_; }

@@ -97,13 +97,6 @@ GicDistributor::raisePpi(CpuId cpu, IrqId irq)
 }
 
 void
-GicDistributor::clearPpi(CpuId cpu, IrqId irq)
-{
-    banks_.at(cpu).ppiPending[irq] = false;
-    touch();
-}
-
-void
 GicDistributor::setSgiPending(CpuId target, IrqId sgi, CpuId source)
 {
     banks_.at(target).sgiSources[sgi] |= (1u << source);

@@ -116,9 +116,6 @@ class GicDistributor : public MmioDevice, public Snapshottable
     /** Assert a private interrupt on @p cpu (called from that CPU's own
      *  execution context, e.g. its timer). */
     void raisePpi(CpuId cpu, IrqId irq);
-
-    /** Deassert a private interrupt (level-triggered sources). */
-    void clearPpi(CpuId cpu, IrqId irq);
     /// @}
 
     /// @name Queries used by the CPU interfaces

@@ -30,6 +30,9 @@ struct TimerRegs
 {
     bool enable = false;
     bool imask = false; //!< interrupt masked
+    /** Spelled out so every byte is defined: snapshots serialize the
+     *  registers verbatim. */
+    std::uint8_t reserved[6] = {};
     std::uint64_t cval = 0;
 
     bool operator==(const TimerRegs &) const = default;

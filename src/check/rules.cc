@@ -1,10 +1,11 @@
 #include "check/rules.hh"
 
+#include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "arm/gic.hh"
 #include "arm/vgic.hh"
@@ -16,10 +17,52 @@ namespace {
 
 using arm::Mode;
 
-/** (machine/Mm, id) pair keying per-CPU or per-PA shadow state, so two
- *  machines in one process (migration tests) cannot alias. */
-using DomainCpu = std::pair<const void *, CpuId>;
+/** (Mm, pa) pair keying per-PA shadow state, so two machines in one
+ *  process (migration tests) cannot alias. */
 using DomainPa = std::pair<const void *, Addr>;
+
+/**
+ * Per-CPU shadow state keyed by (machine, cpu), so two machines fed to
+ * one engine (tests) cannot alias. A flat array searched linearly: an
+ * engine sees one machine's few CPUs, so a lookup is a few compares, and
+ * only a key's first event allocates. clear() keeps the capacity.
+ */
+template <typename State>
+class PerCpu
+{
+  public:
+    /** The state of (@p domain, @p cpu), or null before its first at(). */
+    State *
+    find(const void *domain, CpuId cpu)
+    {
+        for (Entry &e : entries_) {
+            if (e.cpu == cpu && e.domain == domain)
+                return &e.state;
+        }
+        return nullptr;
+    }
+
+    /** The state of (@p domain, @p cpu), value-initialized on first use. */
+    State &
+    at(const void *domain, CpuId cpu)
+    {
+        if (State *st = find(domain, cpu))
+            return *st;
+        entries_.push_back({domain, cpu, State{}});
+        return entries_.back().state;
+    }
+
+    void clear() { entries_.clear(); }
+
+  private:
+    struct Entry
+    {
+        const void *domain;
+        CpuId cpu;
+        State state;
+    };
+    std::vector<Entry> entries_;
+};
 
 /**
  * Rule 1 — privilege: the registers backing split-mode operation (HCR,
@@ -50,6 +93,18 @@ class PrivilegeRule : public InvariantRule
     }
 };
 
+/** A set of state classes, bit c standing for StateClass c. */
+using ClassSet = std::uint8_t;
+constexpr unsigned kNumClasses =
+    static_cast<unsigned>(StateClass::Timer) + 1; // Timer is the last
+static_assert(kNumClasses <= 8, "ClassSet holds one bit per class");
+
+ClassSet
+bit(StateClass cls)
+{
+    return static_cast<ClassSet>(1u << static_cast<unsigned>(cls));
+}
+
 /**
  * Rule 2 — ws-pairing: a per-switch ledger proving the world switch moves
  * Table 1's state symmetrically. Every state group saved for the host on
@@ -73,7 +128,7 @@ class WsPairingRule : public InvariantRule
     void
     onWorldSwitch(InvariantEngine &eng, const WorldSwitchEvent &ev) override
     {
-        Epoch &ep = epochs_[{ev.domain, ev.cpu}];
+        Epoch &ep = epochs_.at(ev.domain, ev.cpu);
         if (ev.dir == SwitchDir::ToVm && ev.begin) {
             if (ep.open) {
                 eng.report(*this,
@@ -109,22 +164,21 @@ class WsPairingRule : public InvariantRule
                     const StateTransferEvent &ev) override
     {
         (void)eng;
-        auto it = epochs_.find({ev.domain, ev.cpu});
-        if (it == epochs_.end() || !it->second.open)
+        Epoch *ep = epochs_.find(ev.domain, ev.cpu);
+        if (!ep || !ep->open)
             return; // transfer outside any switch epoch: unit-test traffic
-        Epoch &ep = it->second;
         switch (ev.kind) {
           case Xfer::SaveHost:
-            ep.savedHost.insert(ev.cls);
+            ep->savedHost |= bit(ev.cls);
             break;
           case Xfer::RestoreGuest:
-            ep.restoredGuest.insert(ev.cls);
+            ep->restoredGuest |= bit(ev.cls);
             break;
           case Xfer::SaveGuest:
-            ep.savedGuest.insert(ev.cls);
+            ep->savedGuest |= bit(ev.cls);
             break;
           case Xfer::RestoreHost:
-            ep.restoredHost.insert(ev.cls);
+            ep->restoredHost |= bit(ev.cls);
             break;
         }
     }
@@ -133,18 +187,17 @@ class WsPairingRule : public InvariantRule
     struct Epoch
     {
         bool open = false;
-        std::set<StateClass> savedHost;
-        std::set<StateClass> restoredGuest;
-        std::set<StateClass> savedGuest;
-        std::set<StateClass> restoredHost;
+        ClassSet savedHost = 0;
+        ClassSet restoredGuest = 0;
+        ClassSet savedGuest = 0;
+        ClassSet restoredHost = 0;
     };
 
     void
-    requireCls(InvariantEngine &eng, CpuId cpu,
-               const std::set<StateClass> &set, StateClass cls,
+    requireCls(InvariantEngine &eng, CpuId cpu, ClassSet set, StateClass cls,
                const char *what)
     {
-        if (!set.count(cls))
+        if (!(set & bit(cls)))
             eng.report(*this, strfmt("cpu%u: %s", cpu, what));
     }
 
@@ -161,19 +214,22 @@ class WsPairingRule : public InvariantRule
              "saved for the guest on exit but never loaded on entry");
     }
 
+    /** Report each class in @p a but not in @p b, in StateClass order. */
     void
-    diff(InvariantEngine &eng, CpuId cpu, const std::set<StateClass> &a,
-         const std::set<StateClass> &b, const char *what)
+    diff(InvariantEngine &eng, CpuId cpu, ClassSet a, ClassSet b,
+         const char *what)
     {
-        for (StateClass cls : a) {
-            if (!b.count(cls)) {
+        ClassSet missing = a & ~b;
+        for (unsigned c = 0; missing && c < kNumClasses; ++c) {
+            auto cls = static_cast<StateClass>(c);
+            if (missing & bit(cls)) {
                 eng.report(*this, strfmt("cpu%u: %s state %s", cpu,
                                          stateClassName(cls), what));
             }
         }
     }
 
-    std::map<DomainCpu, Epoch> epochs_;
+    PerCpu<Epoch> epochs_;
 };
 
 /**
@@ -305,7 +361,7 @@ class TrapConfigRule : public InvariantRule
                            strfmt("cpu%u: guest entry with null VTTBR",
                                   ev.cpu));
             }
-            world_[{ev.domain, ev.cpu}] = World::Guest;
+            world_.at(ev.domain, ev.cpu) = World::Guest;
         } else {
             if (h.hcr.vm) {
                 eng.report(*this,
@@ -320,7 +376,7 @@ class TrapConfigRule : public InvariantRule
                                   "bits still set",
                                   ev.cpu));
             }
-            world_[{ev.domain, ev.cpu}] = World::Host;
+            world_.at(ev.domain, ev.cpu) = World::Host;
         }
     }
 
@@ -329,15 +385,15 @@ class TrapConfigRule : public InvariantRule
     {
         if (ev.to == Mode::Hyp || ev.to == Mode::Mon)
             return;
-        auto it = world_.find({ev.domain, ev.cpu});
-        if (it == world_.end())
+        const World *world = world_.find(ev.domain, ev.cpu);
+        if (!world)
             return; // no world switch seen yet (boot, bare-metal model)
-        if (it->second == World::Guest && !ev.stage2On) {
+        if (*world == World::Guest && !ev.stage2On) {
             eng.report(*this,
                        strfmt("cpu%u: entered %s mode in the guest world "
                               "with Stage-2 disabled",
                               ev.cpu, arm::modeName(ev.to)));
-        } else if (it->second == World::Host && ev.stage2On) {
+        } else if (*world == World::Host && ev.stage2On) {
             eng.report(*this,
                        strfmt("cpu%u: entered %s mode in the host world "
                               "with Stage-2 enabled",
@@ -358,7 +414,7 @@ class TrapConfigRule : public InvariantRule
         }
     }
 
-    std::map<DomainCpu, World> world_;
+    PerCpu<World> world_;
 };
 
 /**

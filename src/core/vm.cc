@@ -104,13 +104,6 @@ Vm::addVcpu(CpuId phys_cpu)
     return *vcpus_.back();
 }
 
-VCpu *
-Vm::runningOn(CpuId phys)
-{
-    VCpu *v = kvm_.lowvisor().running(phys);
-    return (v && &v->vm() == this) ? v : nullptr;
-}
-
 void
 Vm::addKernelDevice(Addr base, Addr size, KernelDeviceHandler handler)
 {

@@ -48,9 +48,6 @@ class Vm : public Snapshottable
     std::vector<std::unique_ptr<VCpu>> &vcpus() { return vcpus_; }
     VCpu *vcpu(unsigned idx) { return vcpus_.at(idx).get(); }
 
-    /** The VCPU currently resident on physical CPU @p phys, if any. */
-    VCpu *runningOn(CpuId phys);
-
     /// @name Device plumbing
     /// @{
     using KernelDeviceHandler =

@@ -182,18 +182,6 @@ HostKernel::blockUntil(ArmCpu &cpu, const std::function<bool()> &pred)
     cpu.setIrqMasked(saved);
 }
 
-void
-HostKernel::runInUserspace(ArmCpu &cpu,
-                           const std::function<void()> &user_work)
-{
-    cpu.compute(config_.costs.kernelToUser);
-    Mode saved = cpu.mode();
-    cpu.setMode(Mode::Usr);
-    user_work();
-    cpu.setMode(saved);
-    cpu.compute(config_.costs.userToKernel);
-}
-
 bool
 HostKernel::installHypVectors(ArmCpu &cpu, arm::HypVectors *vectors)
 {

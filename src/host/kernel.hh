@@ -85,9 +85,19 @@ class HostKernel : public arm::OsVectors, public Snapshottable
     void blockUntil(arm::ArmCpu &cpu, const std::function<bool()> &pred);
 
     /** Charge a kernel -> user -> kernel round trip around @p user_work,
-     *  run with the CPU in user mode (the QEMU process). */
-    void runInUserspace(arm::ArmCpu &cpu,
-                        const std::function<void()> &user_work);
+     *  run with the CPU in user mode (the QEMU process). A template
+     *  parameter, so a capturing lambda costs no allocation per exit. */
+    template <typename Work>
+    void
+    runInUserspace(arm::ArmCpu &cpu, Work &&user_work)
+    {
+        cpu.compute(config_.costs.kernelToUser);
+        arm::Mode saved = cpu.mode();
+        cpu.setMode(arm::Mode::Usr);
+        user_work();
+        cpu.setMode(saved);
+        cpu.compute(config_.costs.userToKernel);
+    }
 
     /**
      * The paper-§4 protocol for getting code into Hyp mode: the stub

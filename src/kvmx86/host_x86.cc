@@ -53,17 +53,4 @@ X86Host::blockUntil(X86Cpu &cpu, const std::function<bool()> &pred)
     cpu.setIf(saved);
 }
 
-void
-X86Host::runInUserspace(X86Cpu &cpu,
-                        const std::function<void()> &user_work)
-{
-    const x86::X86CostModel &cm = machine_.cost();
-    cpu.compute(cm.kernelToUser);
-    bool saved = cpu.userMode();
-    cpu.setUserMode(true);
-    user_work();
-    cpu.setUserMode(saved);
-    cpu.compute(cm.userToKernel);
-}
-
 } // namespace kvmarm::kvmx86

@@ -38,9 +38,20 @@ class X86Host : public x86::X86OsVectors
 
     /** Kernel -> user -> kernel round trip around @p user_work (the
      *  QEMU process); x86 KVM's lazy state handling makes these edges
-     *  expensive (paper §5.2). */
-    void runInUserspace(x86::X86Cpu &cpu,
-                        const std::function<void()> &user_work);
+     *  expensive (paper §5.2). A template parameter, so a capturing
+     *  lambda costs no allocation per exit. */
+    template <typename Work>
+    void
+    runInUserspace(x86::X86Cpu &cpu, Work &&user_work)
+    {
+        const x86::X86CostModel &cm = machine_.cost();
+        cpu.compute(cm.kernelToUser);
+        bool saved = cpu.userMode();
+        cpu.setUserMode(true);
+        user_work();
+        cpu.setUserMode(saved);
+        cpu.compute(cm.userToKernel);
+    }
 
     /// @name x86::X86OsVectors
     /// @{

@@ -403,5 +403,48 @@ TEST_F(AttentionTest, ModeChangeOutOfHyp)
     EXPECT_EQ(deliveredAt, 621u);
 }
 
+TEST_F(AttentionTest, SpiRaisedWhileInHypTakenAfterReturn)
+{
+    // CPU1 raises an SPI while CPU0 sits in a Hyp trap handler. Nothing
+    // is deliverable in Hyp mode; the interrupt is taken once the ERET
+    // drops CPU0 back to Svc.
+    bool inHyp = false;
+    Cycles hypLeftAt = 0;
+    os.onIrq = [&](ArmCpu &c) {
+        deliveredAt = c.now();
+        delivered = true;
+        EXPECT_FALSE(inHyp);
+        EXPECT_EQ(ackEoi(c), 40u);
+    };
+    hyp.onTrap = [&](ArmCpu &c, const Hsr &hsr) {
+        ASSERT_EQ(hsr.ec, ExcClass::Hvc);
+        inHyp = true;
+        while (c.now() < 900)
+            c.compute(13);
+        EXPECT_FALSE(delivered);
+        inHyp = false;
+        hypLeftAt = c.now();
+        c.setHypReturn(Mode::Svc, false);
+    };
+    cpu(0).setEntry([&] {
+        cpu(0).setOsVectors(&os);
+        cpu(0).setIrqMasked(false);
+        cpu(0).compute(50);
+        cpu(0).hvc(0);
+        spinUntil(cpu(0), delivered, 1000);
+    });
+    cpu(1).setEntry([&] {
+        cpu(1).events().schedule(301, [&] {
+            machine->gicd().raiseSpi(40, cpu(1).now() + 50);
+        });
+        while (cpu(1).now() < 2000)
+            cpu(1).compute(11);
+    });
+    machine->run();
+    ASSERT_TRUE(delivered);
+    EXPECT_GT(deliveredAt, hypLeftAt);
+    EXPECT_EQ(deliveredAt, 974u);
+}
+
 } // namespace
 } // namespace kvmarm::arm

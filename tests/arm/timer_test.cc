@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <new>
+#include <string>
+#include <vector>
+
 #include "arm/machine.hh"
 
 namespace kvmarm::arm {
@@ -149,6 +155,45 @@ TEST_F(TimerTest, Cnthctl0GatesPl1PhysAccess)
         EXPECT_EQ(hyp.traps, 1);
     });
     machine->run();
+}
+
+/** The bytes of @p machine's "timer" snapshot record. */
+std::vector<std::uint8_t>
+timerRecord(ArmMachine &machine)
+{
+    std::shared_ptr<const MachineSnapshot> snap = machine.takeSnapshot();
+    for (const SnapshotRecord &rec : snap->records) {
+        if (rec.key == "timer")
+            return rec.bytes;
+    }
+    ADD_FAILURE() << "no timer record";
+    return {};
+}
+
+TEST_F(TimerTest, SnapshotRecordIsAFunctionOfFieldValues)
+{
+    // Registers built in storage that held 0xFF bytes: every byte of the
+    // record must still come from a field, or two runs of one workload
+    // would snapshot differently.
+    alignas(TimerRegs) unsigned char storage[sizeof(TimerRegs)];
+    std::memset(storage, 0xFF, sizeof(storage));
+    TimerRegs *dirty = new (storage) TimerRegs;
+    dirty->enable = true;
+    dirty->imask = true;
+    dirty->cval = 0x1234;
+    timer().setVirt(0, *dirty);
+
+    ArmMachine::Config mc;
+    mc.numCpus = 1;
+    mc.ramSize = 32 * kMiB;
+    ArmMachine other(mc);
+    TimerRegs clean;
+    clean.enable = true;
+    clean.imask = true;
+    clean.cval = 0x1234;
+    other.timer().setVirt(0, clean);
+
+    EXPECT_EQ(timerRecord(*machine), timerRecord(other));
 }
 
 } // namespace

@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "arm/machine.hh"
 #include "check/invariants.hh"
@@ -69,6 +71,20 @@ guestEntryHypState()
     h.vttbr = 0x8000000 | (5ull << 48);
     return h;
 }
+
+/** The detail strings @p eng recorded for @p rule, in report order. */
+std::vector<std::string>
+details(const check::InvariantEngine &eng, const std::string &rule)
+{
+    std::vector<std::string> out;
+    for (const check::Violation &v : eng.violations()) {
+        if (v.rule == rule)
+            out.push_back(v.detail);
+    }
+    return out;
+}
+
+using Details = std::vector<std::string>;
 
 // ---------------------------------------------------------------- privilege
 
@@ -158,6 +174,9 @@ TEST_F(WsPairingTest, FlagsSkippedHostRestore)
     enterGuest();
     exitGuest(false); // ctrl registers saved in toVm but never restored
     EXPECT_EQ(eng.violationCount("ws-pairing"), 1u);
+    EXPECT_EQ(details(eng, "ws-pairing"),
+              Details({"cpu0: ctrl state saved for the host in toVm but "
+                       "never restored in toHost"}));
 }
 
 TEST_F(WsPairingTest, FlagsGuestEntryWithoutHostSave)
@@ -169,6 +188,11 @@ TEST_F(WsPairingTest, FlagsGuestEntryWithoutHostSave)
     eng.stateTransfer(&dom, 0, StateClass::Gp, Xfer::RestoreGuest);
     eng.worldSwitchEnd(&dom, 0, SwitchDir::ToVm, guestEntryHypState());
     EXPECT_EQ(eng.violationCount("ws-pairing"), 2u);
+    EXPECT_EQ(details(eng, "ws-pairing"),
+              Details({"cpu0: host ctrl registers not saved before guest "
+                       "entry",
+                       "cpu0: guest ctrl registers not restored before "
+                       "guest entry"}));
 }
 
 TEST_F(WsPairingTest, LazyFpuTransferJoinsTheOpenEpoch)
@@ -191,6 +215,87 @@ TEST_F(WsPairingTest, FlagsLazyFpuLoadedButNeverSavedBack)
     // Two asymmetries: host VFP saved but never restored, and guest VFP
     // loaded but never captured back.
     EXPECT_EQ(eng.violationCount("ws-pairing"), 2u);
+    EXPECT_EQ(details(eng, "ws-pairing"),
+              Details({"cpu0: fpu state saved for the host in toVm but "
+                       "never restored in toHost",
+                       "cpu0: fpu state loaded for the guest but never "
+                       "saved back on exit"}));
+}
+
+TEST_F(WsPairingTest, ReportsEveryMissingClassInEnumOrder)
+{
+    // Transfers arrive out of enum order and several classes go missing
+    // in each direction: the report order is the symmetry check's
+    // direction order, then StateClass order, whatever the arrival order.
+    ScopedCheckMode scoped(CheckMode::Log);
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
+    for (StateClass c : {StateClass::Timer, StateClass::Vgic, StateClass::Gp,
+                         StateClass::Ctrl})
+        eng.stateTransfer(&dom, 0, c, Xfer::SaveHost);
+    for (StateClass c : {StateClass::Timer, StateClass::Gp, StateClass::Ctrl,
+                         StateClass::Vgic})
+        eng.stateTransfer(&dom, 0, c, Xfer::RestoreGuest);
+    eng.worldSwitchEnd(&dom, 0, SwitchDir::ToVm, guestEntryHypState());
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 0u);
+
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToHost);
+    for (StateClass c : {StateClass::Fpu, StateClass::Ctrl, StateClass::Gp})
+        eng.stateTransfer(&dom, 0, c, Xfer::SaveGuest);
+    for (StateClass c : {StateClass::Fpu, StateClass::Ctrl, StateClass::Gp})
+        eng.stateTransfer(&dom, 0, c, Xfer::RestoreHost);
+    eng.worldSwitchEnd(&dom, 0, SwitchDir::ToHost, arm::HypState{});
+    EXPECT_EQ(details(eng, "ws-pairing"),
+              Details({"cpu0: vgic state saved for the host in toVm but "
+                       "never restored in toHost",
+                       "cpu0: timer state saved for the host in toVm but "
+                       "never restored in toHost",
+                       "cpu0: fpu state restored for the host in toHost but "
+                       "never saved in toVm",
+                       "cpu0: vgic state loaded for the guest but never "
+                       "saved back on exit",
+                       "cpu0: timer state loaded for the guest but never "
+                       "saved back on exit",
+                       "cpu0: fpu state saved for the guest on exit but "
+                       "never loaded on entry"}));
+}
+
+TEST_F(WsPairingTest, LedgersAreKeptPerDomainAndCpu)
+{
+    // Epochs open on three (domain, cpu) keys at once; each transfer
+    // lands in its own key's ledger only.
+    ScopedCheckMode scoped(CheckMode::Log);
+    int other = 0;
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
+    eng.worldSwitchBegin(&other, 0, SwitchDir::ToVm);
+    eng.worldSwitchBegin(&dom, 1, SwitchDir::ToVm);
+    eng.stateTransfer(&other, 0, StateClass::Vgic, Xfer::SaveHost);
+    eng.stateTransfer(&dom, 1, StateClass::Timer, Xfer::RestoreGuest);
+    for (CpuId cpu : {0u, 1u}) {
+        eng.worldSwitchBegin(&dom, cpu, SwitchDir::ToHost);
+        eng.worldSwitchEnd(&dom, cpu, SwitchDir::ToHost, arm::HypState{});
+    }
+    eng.worldSwitchBegin(&other, 0, SwitchDir::ToHost);
+    eng.worldSwitchEnd(&other, 0, SwitchDir::ToHost, arm::HypState{});
+    EXPECT_EQ(details(eng, "ws-pairing"),
+              Details({"cpu1: timer state loaded for the guest but never "
+                       "saved back on exit",
+                       "cpu0: vgic state saved for the host in toVm but "
+                       "never restored in toHost"}));
+}
+
+TEST_F(WsPairingTest, ResetClosesOpenEpochs)
+{
+    ScopedCheckMode scoped(CheckMode::Log);
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
+    eng.reset();
+    // The epoch opened before reset() is gone: a new toVm is no double
+    // entry, but a second one still is.
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
+    EXPECT_EQ(eng.violationCount("ws-pairing"), 0u);
+    eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
+    EXPECT_EQ(details(eng, "ws-pairing"),
+              Details({"cpu0: toVm entered twice with no intervening "
+                       "toHost"}));
 }
 
 // ---------------------------------------------------------- stage2-isolation
@@ -280,6 +385,9 @@ TEST(TrapConfigRule, FlagsMissingTrapBitsAtGuestEntry)
     eng.worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
     eng.worldSwitchEnd(&dom, 0, SwitchDir::ToVm, h);
     EXPECT_EQ(eng.violationCount("trap-config"), 2u);
+    EXPECT_EQ(details(eng, "trap-config"),
+              Details({"cpu0: guest entry without HCR.twi trap set",
+                       "cpu0: guest entry without HCR.tsc trap set"}));
 }
 
 TEST(TrapConfigRule, FlagsGuestEntryWithoutStage2)
@@ -294,6 +402,9 @@ TEST(TrapConfigRule, FlagsGuestEntryWithoutStage2)
     eng.worldSwitchEnd(&dom, 0, SwitchDir::ToVm, h);
     // Stage-2 disabled + null VTTBR root.
     EXPECT_EQ(eng.violationCount("trap-config"), 2u);
+    EXPECT_EQ(details(eng, "trap-config"),
+              Details({"cpu0: guest entry with Stage-2 translation disabled",
+                       "cpu0: guest entry with null VTTBR"}));
 }
 
 TEST(TrapConfigRule, FlagsHostReturnWithGuestConfiguration)
@@ -306,6 +417,11 @@ TEST(TrapConfigRule, FlagsHostReturnWithGuestConfiguration)
     // under the guest's translation regime.
     eng.worldSwitchEnd(&dom, 0, SwitchDir::ToHost, guestEntryHypState());
     EXPECT_EQ(eng.violationCount("trap-config"), 2u);
+    EXPECT_EQ(details(eng, "trap-config"),
+              Details({"cpu0: returned to host with Stage-2 translation "
+                       "still enabled",
+                       "cpu0: returned to host with guest trap bits still "
+                       "set"}));
 }
 
 TEST(TrapConfigRule, FlagsKernelModeWithWrongStage2State)
@@ -319,6 +435,43 @@ TEST(TrapConfigRule, FlagsKernelModeWithWrongStage2State)
     eng.worldSwitchEnd(&dom, 0, SwitchDir::ToVm, guestEntryHypState());
     eng.modeChange(&dom, 0, Mode::Hyp, Mode::Svc, /*stage2_on=*/false);
     EXPECT_EQ(eng.violationCount("trap-config"), 1u);
+    EXPECT_EQ(details(eng, "trap-config"),
+              Details({"cpu0: entered svc mode in the guest world with "
+                       "Stage-2 disabled"}));
+}
+
+TEST(TrapConfigRule, TracksTheWorldPerDomainAndCpu)
+{
+    ScopedCheckMode scoped(CheckMode::Log);
+    int domA = 0, domB = 0;
+    check::InvariantEngine eng;
+    // No world switch seen yet on a key: mode changes are not judged.
+    eng.modeChange(&domA, 0, Mode::Hyp, Mode::Svc, /*stage2_on=*/true);
+    EXPECT_EQ(eng.violationCount("trap-config"), 0u);
+
+    eng.worldSwitchBegin(&domA, 0, SwitchDir::ToVm);
+    eng.worldSwitchEnd(&domA, 0, SwitchDir::ToVm, guestEntryHypState());
+    eng.worldSwitchBegin(&domB, 1, SwitchDir::ToHost);
+    eng.worldSwitchEnd(&domB, 1, SwitchDir::ToHost, arm::HypState{});
+    // Legal in each key's own world, and Hyp/Mon entries are never judged.
+    eng.modeChange(&domA, 0, Mode::Hyp, Mode::Usr, /*stage2_on=*/true);
+    eng.modeChange(&domB, 1, Mode::Hyp, Mode::Svc, /*stage2_on=*/false);
+    eng.modeChange(&domB, 1, Mode::Svc, Mode::Hyp, /*stage2_on=*/true);
+    EXPECT_EQ(eng.violationCount("trap-config"), 0u);
+    // Wrong in each key's own world; (domB, 0) has no world yet.
+    eng.modeChange(&domB, 1, Mode::Hyp, Mode::Irq, /*stage2_on=*/true);
+    eng.modeChange(&domA, 0, Mode::Hyp, Mode::Abt, /*stage2_on=*/false);
+    eng.modeChange(&domB, 0, Mode::Hyp, Mode::Svc, /*stage2_on=*/true);
+    EXPECT_EQ(details(eng, "trap-config"),
+              Details({"cpu1: entered irq mode in the host world with "
+                       "Stage-2 enabled",
+                       "cpu0: entered abt mode in the guest world with "
+                       "Stage-2 disabled"}));
+
+    // reset() forgets every world.
+    eng.reset();
+    eng.modeChange(&domA, 0, Mode::Hyp, Mode::Abt, /*stage2_on=*/false);
+    EXPECT_EQ(eng.violationCount("trap-config"), 0u);
 }
 
 // --------------------------------------------------------------------- vgic
@@ -547,6 +700,9 @@ TEST(EngineSharding, RuleShadowStateIsNotShared)
     ea->worldSwitchBegin(&dom, 0, SwitchDir::ToVm);
     EXPECT_EQ(ea->violationCount("ws-pairing"), 1u);
     EXPECT_EQ(eb->violationCount("ws-pairing"), 0u);
+    EXPECT_EQ(details(*ea, "ws-pairing"),
+              Details({"cpu0: toVm entered twice with no intervening "
+                       "toHost"}));
 }
 
 // --------------------------------------------------------------- ring-order

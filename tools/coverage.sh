@@ -27,7 +27,7 @@ fi
 python3 - "$dir" "$PWD" <<'EOF'
 import collections, glob, json, os, subprocess, sys
 
-build, root = sys.argv[1], sys.argv[2]
+build, root = os.path.abspath(sys.argv[1]), sys.argv[2]
 src = os.path.join(root, "src") + os.sep
 lines = collections.defaultdict(dict)  # file -> line -> executed?
 gcdas = glob.glob(os.path.join(build, "src", "**", "*.gcda"), recursive=True)
